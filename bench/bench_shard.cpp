@@ -12,7 +12,9 @@
 //   critical_path_ms = route_ms + max_s apply_ms[s]
 //   model_speedup    = critical_path_ms(shards=1) / critical_path_ms(N)
 //
-// alongside the real end-to-end ShardedDetector wall time. The model, not
+// alongside the real end-to-end StreamingDetector wall time at that shard
+// count, and whether its verdicts equal a shards=1 run's (the detector is
+// exact at every shard count; a mismatch exits non-zero). The model, not
 // the wall clock, is the scaling claim: CI boxes (including the one that
 // produced BENCH_shard.json) often expose a single hardware thread, where
 // parallel sections serialize and wall time cannot show the speedup that
@@ -40,7 +42,6 @@
 #include "detect/streaming.h"
 #include "netflow/flow_batch.h"
 #include "shard/ring.h"
-#include "shard/sharded_detector.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "util/parallel.h"
@@ -101,12 +102,36 @@ struct ShardReport {
   double max_shard_apply_ms = 0.0;  // slowest shard (the parallel straggler)
   double critical_path_ms = 0.0;    // route + straggler
   double model_speedup = 0.0;       // vs the shards=1 critical path
-  double wall_ms = 0.0;             // real ShardedDetector ingest+flush
+  double wall_ms = 0.0;             // real StreamingDetector ingest+flush
   double balance = 0.0;             // max shard ops / mean shard ops
   std::size_t plotters = 0;
+  bool verdicts_equal_shards1 = false;
 };
 
-/// Routes every row exactly the way ShardedDetector::route_row does and
+/// Every window's verdict at full precision: window, stage survivor sets,
+/// τ_hm and the θ_hm clusters. Equal strings = bit-identical verdicts.
+void append_verdict(std::string& out, const detect::WindowVerdict& v) {
+  char buf[64];
+  const auto put_set = [&](const char* name, detect::HostSet hosts) {
+    std::sort(hosts.begin(), hosts.end());
+    out += name;
+    for (const simnet::Ipv4 h : hosts) out += " " + h.to_string();
+    out += "\n";
+  };
+  std::snprintf(buf, sizeof(buf), "window %zu flows %zu tau %.17g\n", v.window_index,
+                v.flows_seen, v.result.hm.tau_hm);
+  out += buf;
+  put_set("reduced", v.result.reduced);
+  put_set("s_vol", v.result.s_vol);
+  put_set("s_churn", v.result.s_churn);
+  put_set("plotters", v.result.plotters);
+  for (const detect::HostCluster& c : v.result.hm.clusters) {
+    std::snprintf(buf, sizeof(buf), "cluster %.17g %d", c.diameter, c.kept ? 1 : 0);
+    put_set(buf, c.members);
+  }
+}
+
+/// Routes every row exactly the way the detector's shard router does and
 /// returns per-shard op lists (top bit = responder op).
 std::vector<std::vector<std::uint32_t>> route_all(
     const std::vector<netflow::FlowBatch>& batches, const shard::HashRing& ring,
@@ -180,11 +205,37 @@ int main(int argc, char** argv) {
 
   const std::vector<netflow::FlowBatch> batches = make_workload(hosts, flows, 20100621);
 
+  // The real detector at `shards`: wall clock of ingest + flush, every
+  // window's verdict digest, and the plotters flagged.
+  struct DetectorRun {
+    double wall_ms = 0.0;
+    std::string verdicts;
+    std::size_t plotters = 0;
+  };
+  const auto run_detector = [&](std::size_t shards) {
+    detect::StreamingConfig cfg;
+    cfg.shards = shards;
+    cfg.window = 6 * 3600.0;
+    cfg.is_internal = is_internal;
+    DetectorRun run;
+    detect::StreamingDetector det(cfg, [&](const detect::WindowVerdict& v) {
+      append_verdict(run.verdicts, v);
+      run.plotters += v.result.plotters.size();
+    });
+    const auto tw = std::chrono::steady_clock::now();
+    for (const netflow::FlowBatch& b : batches) det.ingest(b);
+    det.flush();
+    run.wall_ms = ms_since(tw);
+    return run;
+  };
+
+  // The shards=1 reference every shard count's verdicts must equal.
+  const DetectorRun reference = run_detector(1);
+
   std::vector<ShardReport> reports;
   double baseline_critical = 0.0;
   bool deterministic = true;
-  std::size_t oracle_plotters = 0;
-  bool oracle_set = false;
+  bool all_equal = true;
 
   for (const std::size_t shards : shard_counts) {
     ShardReport r;
@@ -238,30 +289,12 @@ int main(int argc, char** argv) {
       baseline_critical = shards == 1 ? r.critical_path_ms : baseline_critical;
 
     // --- real end-to-end detector run ------------------------------------
-    const auto run_detector = [&]() -> std::pair<double, std::size_t> {
-      shard::ShardedConfig cfg;
-      cfg.shards = shards;
-      cfg.window = 6 * 3600.0;
-      cfg.is_internal = is_internal;
-      std::size_t plotters = 0;
-      shard::ShardedDetector det(cfg, [&](const detect::WindowVerdict& v) {
-        plotters = v.result.plotters.size();
-      });
-      const auto tw = std::chrono::steady_clock::now();
-      for (const netflow::FlowBatch& b : batches) det.ingest(b);
-      det.flush();
-      return {ms_since(tw), plotters};
-    };
-    const auto [wall_ms, plotters] = run_detector();
-    r.wall_ms = wall_ms;
-    r.plotters = plotters;
-    const auto [wall2, plotters2] = run_detector();
-    (void)wall2;
-    if (plotters2 != plotters) deterministic = false;
-    if (shards == 1 && !oracle_set) {
-      oracle_plotters = plotters;
-      oracle_set = true;
-    }
+    const DetectorRun run = run_detector(shards);
+    r.wall_ms = run.wall_ms;
+    r.plotters = run.plotters;
+    if (run_detector(shards).verdicts != run.verdicts) deterministic = false;
+    r.verdicts_equal_shards1 = run.verdicts == reference.verdicts;
+    all_equal = all_equal && r.verdicts_equal_shards1;
 
     r.model_speedup = baseline_critical > 0.0 ? baseline_critical / r.critical_path_ms : 1.0;
     reports.push_back(r);
@@ -270,15 +303,14 @@ int main(int argc, char** argv) {
                 shards, r.route_ms, r.serial_apply_ms, r.max_shard_apply_ms);
     std::printf("            critical path %.1f ms, model speedup %.2fx, balance %.2f\n",
                 r.critical_path_ms, r.model_speedup, r.balance);
-    std::printf("            end-to-end wall %.1f ms, %zu plotters%s\n\n", r.wall_ms,
-                r.plotters,
-                oracle_set && shards == 1 ? " (oracle)" : "");
+    std::printf("            end-to-end wall %.1f ms, %zu plotters, verdicts %s shards=1\n\n",
+                r.wall_ms, r.plotters, r.verdicts_equal_shards1 ? "equal to" : "DIFFER from");
   }
 
   std::printf("  determinism (repeat run agreement): %s\n",
               deterministic ? "pass" : "FAIL");
-  if (oracle_set)
-    std::printf("  shards=1 oracle plotters: %zu\n", oracle_plotters);
+  std::printf("  verdicts equal to shards=1 at every shard count: %s (%zu plotters)\n",
+              all_equal ? "pass" : "FAIL", reference.plotters);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -319,10 +351,12 @@ int main(int argc, char** argv) {
       w.key("balance");
       w.number(r.balance, "%.3f");
       w.kv("plotters", static_cast<std::uint64_t>(r.plotters));
+      w.kv("verdicts_equal_shards1", r.verdicts_equal_shards1);
       w.end_object();
     }
     w.end_array();
     w.kv("determinism", deterministic ? "pass" : "fail");
+    w.kv("verdicts_equal_shards1", all_equal);
     w.end_object();
     out << "\n";
     if (!out.flush()) {
@@ -330,5 +364,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return deterministic ? 0 : 1;
+  return deterministic && all_equal ? 0 : 1;
 }

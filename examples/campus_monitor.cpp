@@ -31,11 +31,12 @@
 //                                       also rewrite it periodically so a
 //                                       textfile scraper sees live values
 //   --metrics-format prom|json          snapshot format (default prom)
-//   --shards N                          run the sharded detector with N
-//                                       worker shards (default 1; 1 is
-//                                       bit-identical to the single
-//                                       detector, N>1 merges per-shard
-//                                       sketches and two-level clustering)
+//   --shards N                          accumulate per-host state on N
+//                                       worker shards (default 1); the
+//                                       report is byte-identical at every
+//                                       N (windows degraded by the timing
+//                                       budget aside); a checkpoint resumes
+//                                       only at the N that saved it
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -51,7 +52,6 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "shard/sharded_detector.h"
 #include "svc/sender.h"
 #include "util/error.h"
 #include "util/format.h"
@@ -109,7 +109,7 @@ struct StreamOptions {
   std::string metrics_path;  // empty = metrics disabled
   double metrics_interval = 0.0;  // seconds between periodic dumps (0 = exit only)
   obs::ExpositionFormat metrics_format = obs::ExpositionFormat::kPrometheus;
-  std::uint64_t shards = 0;  // 0 = flag absent, legacy StreamingDetector path
+  std::uint64_t shards = 1;
 };
 
 std::string_view policy_name(const netflow::ErrorPolicy& policy) {
@@ -128,14 +128,12 @@ std::string verdict(const eval::DayData& day, simnet::Ipv4 host) {
   return "false alarm (" + std::string(netflow::to_string(day.combined.kind_of(host))) + ")";
 }
 
-// Feeds the trace through either detector type. StreamingDetector and
-// ShardedDetector expose the same ingest/checkpoint/flush surface, so the
-// whole fault-tolerant driver — resume fast-forward, record-granular
-// checkpoint boundaries, SIGINT handling, the summary — is written once.
-template <class Detector, class DumpFn>
-int drive_stream(const StreamOptions& opt, netflow::TraceReader& reader, Detector& detector,
-                 const DumpFn& dump_metrics, int& flagged_total, int& tp_total,
-                 int& degraded_windows) {
+// The fault-tolerant driver: resume fast-forward, record-granular
+// checkpoint boundaries, SIGINT handling, the summary.
+template <class DumpFn>
+int drive_stream(const StreamOptions& opt, netflow::TraceReader& reader,
+                 detect::StreamingDetector& detector, const DumpFn& dump_metrics,
+                 int& flagged_total, int& tp_total, int& degraded_windows) {
   if (!opt.resume_path.empty()) {
     detector.restore_checkpoint_file(opt.resume_path);
     const auto already = detector.flows_ingested_total();
@@ -311,25 +309,12 @@ int run_stream(const StreamOptions& opt) {
     std::printf("\n");
   };
 
-  // Flag absent: the original single detector. "--shards N" (N >= 1) runs
-  // the sharded detector — at N == 1 its verdicts are bit-identical, so the
-  // two branches print the same report, but its checkpoints are TPSH images
-  // (a --resume must use the same path family it saved with).
-  if (opt.shards == 0) {
-    detect::StreamingConfig cfg;
-    cfg.window = opt.window;
-    cfg.is_internal = detect::default_internal_predicate;
-    cfg.timing_budget = static_cast<std::size_t>(opt.timing_budget);
-    detect::StreamingDetector detector(cfg, on_verdict);
-    return drive_stream(opt, reader, detector, dump_metrics, flagged_total, tp_total,
-                        degraded_windows);
-  }
-  shard::ShardedConfig cfg;
+  detect::StreamingConfig cfg;
   cfg.shards = static_cast<std::size_t>(opt.shards);
   cfg.window = opt.window;
   cfg.is_internal = detect::default_internal_predicate;
   cfg.timing_budget = static_cast<std::size_t>(opt.timing_budget);
-  shard::ShardedDetector detector(cfg, on_verdict);
+  detect::StreamingDetector detector(cfg, on_verdict);
   return drive_stream(opt, reader, detector, dump_metrics, flagged_total, tp_total,
                       degraded_windows);
 }

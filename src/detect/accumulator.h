@@ -1,16 +1,14 @@
-// Per-window, per-host feature accumulation, factored out of
-// StreamingDetector so one window's state can be owned by different drivers:
-// the single-threaded streaming detector keeps exactly one accumulator, the
-// sharded detector (src/shard/) keeps one per worker shard and routes each
-// flow to the shard owning its internal host.
+// Per-window, per-host feature accumulation for one shard of
+// StreamingDetector: the detector keeps one accumulator per worker shard
+// (exactly one by default) and routes each flow to the shard owning its
+// internal host.
 //
 // The accumulator knows nothing about windows rolling or verdicts — it only
 // absorbs the initiator/responder sides of flows, enforces the timing-sample
 // budget, finalizes into a FeatureMap through the same
 // finalize_destinations() as the batch extractor, and round-trips its state
-// through the checkpoint payload codec. The byte layout encode() produces is
-// exactly the per-host section of the v2 TPCK checkpoint, so extracting this
-// class changed no checkpoint bytes.
+// through the checkpoint payload codec: encode() produces one per-shard
+// section of the TPCK checkpoint.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +58,8 @@ class WindowAccumulator {
   [[nodiscard]] std::size_t hosts_shed() const { return hosts_shed_; }
   [[nodiscard]] std::size_t timing_samples_shed() const { return timing_samples_shed_; }
 
-  /// Serializes (timing bookkeeping + per-host records) in the v2 TPCK
-  /// payload order; decode() is the exact inverse and throws
+  /// Serializes (timing bookkeeping + per-host records) in the TPCK
+  /// per-shard section order; decode() is the exact inverse and throws
   /// util::ParseError on truncation.
   void encode(PayloadWriter& w) const;
   void decode(PayloadReader& r);

@@ -477,29 +477,6 @@ class PrunedStage {
     return diameter;
   }
 
-  /// group_diameter plus the medoid: the member (local index into `group`)
-  /// minimizing the sum of exact distances to the other members, ties to the
-  /// lowest index (== smallest address, since groups are ascending and the
-  /// host list is address-sorted). Resolves the full intra-group pair set,
-  /// so the values are the same exact kernels as everywhere else.
-  std::pair<double, std::size_t> group_diameter_and_medoid(
-      std::span<const std::size_t> group) {
-    if (group.size() < 2) return {0.0, 0};
-    const double diameter = group_diameter(group);  // memoizes every pair
-    std::vector<double> row_sum(group.size(), 0.0);
-    for (std::size_t a = 0; a < group.size(); ++a) {
-      for (std::size_t b = a + 1; b < group.size(); ++b) {
-        const double* hit = leaf_memo_.find(pair_slot(group[a], group[b]));
-        row_sum[a] += *hit;
-        row_sum[b] += *hit;
-      }
-    }
-    std::size_t medoid = 0;
-    for (std::size_t a = 1; a < group.size(); ++a)
-      if (row_sum[a] < row_sum[medoid]) medoid = a;
-    return {diameter, medoid};
-  }
-
   [[nodiscard]] double pivot_build_seconds() const { return pivot_build_seconds_; }
 
   [[nodiscard]] stats::PruneFeatures features() const { return index_->features(); }
@@ -590,14 +567,11 @@ class PrunedStage {
   std::atomic<std::uint64_t> cache_hits_{0};
 };
 
-/// Shared preparation for the global θ_hm test and the shard-local variant:
-/// eligibility screen, content hashes, parallel signature build, degenerate
-/// compaction, and cache signature retention. `min_required` is the host
-/// floor below which the caller will not cluster (min_cluster_size for the
-/// global test, 1 for the shard-local export — a lone eligible host must
-/// still reach the global merge); when the survivor count falls below it,
-/// prep stops where the distance stage would have been skipped (ready stays
-/// false and the cache is left untouched).
+/// θ_hm preparation: eligibility screen, content hashes, parallel signature
+/// build, degenerate compaction, and cache signature retention. When fewer
+/// than min_cluster_size hosts survive, prep stops where the distance stage
+/// would have been skipped (ready stays false and the cache is left
+/// untouched).
 struct HmPrep {
   std::vector<simnet::Ipv4> hosts;
   std::vector<const HostFeatures*> eligible;
@@ -607,11 +581,10 @@ struct HmPrep {
 };
 
 HmPrep prepare_hm(const FeatureMap& features, const HostSet& input,
-                  const HumanMachineConfig& config, HmCache* cache,
-                  std::size_t min_required, HostSet& skipped, HostSet& degenerate,
-                  bool& degraded) {
+                  const HumanMachineConfig& config, HmCache* cache, HostSet& skipped,
+                  HostSet& degenerate, bool& degraded) {
   HmPrep prep;
-  min_required = std::max<std::size_t>(min_required, 1);
+  const std::size_t min_required = std::max<std::size_t>(config.min_cluster_size, 1);
   const auto mark_degenerate = [&](simnet::Ipv4 host) {
     skipped.push_back(host);
     degenerate.push_back(host);
@@ -764,8 +737,8 @@ HumanMachineResult human_machine_test(const FeatureMap& features, const HostSet&
     std::sort(result.degenerate.begin(), result.degenerate.end());
   };
 
-  HmPrep prep = prepare_hm(features, input, config, cache, config.min_cluster_size,
-                           result.skipped, result.degenerate, result.degraded);
+  HmPrep prep = prepare_hm(features, input, config, cache, result.skipped,
+                           result.degenerate, result.degraded);
   if (!prep.ready) {
     finish();
     return result;
@@ -889,137 +862,6 @@ HumanMachineResult human_machine_test(const FeatureMap& features, const HostSet&
     }
   }
   std::sort(result.flagged.begin(), result.flagged.end());
-  finish();
-  return result;
-}
-
-LocalClusterResult human_machine_local(const FeatureMap& features, const HostSet& input,
-                                       const HumanMachineConfig& config, HmCache* cache) {
-  validate_config(config);
-  LocalClusterResult result;
-  const auto finish = [&result] {
-    std::sort(result.skipped.begin(), result.skipped.end());
-    std::sort(result.degenerate.begin(), result.degenerate.end());
-  };
-
-  // Floor of 1 instead of min_cluster_size: a shard with one or two eligible
-  // hosts still exports them (the size floor is the merge stage's call).
-  HmPrep prep = prepare_hm(features, input, config, cache, 1, result.skipped,
-                           result.degenerate, result.degraded);
-  if (!prep.ready) {
-    finish();
-    return result;
-  }
-  const std::vector<simnet::Ipv4>& hosts = prep.hosts;
-  const std::vector<stats::Signature>& signatures = prep.signatures;
-
-  const std::size_t n = hosts.size();
-  result.prune.pairs_total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-
-  const auto emit_cluster = [&](const std::vector<std::size_t>& group, double diameter,
-                                std::size_t medoid_local) {
-    LocalCluster cluster;
-    cluster.members.reserve(group.size());
-    for (const std::size_t idx : group) cluster.members.push_back(hosts[idx]);
-    cluster.diameter = diameter;
-    cluster.medoid = hosts[group[medoid_local]];
-    cluster.medoid_signature = signatures[group[medoid_local]];
-    result.clusters.push_back(std::move(cluster));
-  };
-
-  if (n == 1) {
-    emit_cluster({0}, 0.0, 0);
-    finish();
-    return result;
-  }
-
-  const bool use_pruned =
-      config.pruning == HmPruning::kPruned ||
-      (config.pruning == HmPruning::kAuto && n >= config.prune_min_hosts);
-
-  if (use_pruned) {
-    PrunedStage stage(signatures, hosts, prep.hashes, config, cache);
-    stats::PruneCounters counters;
-    const auto groups = [&] {
-      const obs::StageTimer cluster_timer(obs::Stage::kClustering);
-      return stats::average_linkage_cut_pruned(
-          n, [&stage](std::size_t i, std::size_t j) { return stage.leaf_distance(i, j); },
-          stage.features(), config.cut_fraction, stage.prune_options(), &counters);
-    }();
-
-    for (const auto& group : groups) {
-      const auto [diameter, medoid] = stage.group_diameter_and_medoid(group);
-      emit_cluster(group, diameter, medoid);
-    }
-
-    stage.retain_into_cache();
-    result.prune.used = true;
-    result.prune.exact_kernel_evals = stage.kernel_evals();
-    result.prune.cache_hits = stage.cache_hits();
-    result.prune.resolved_pairs = stage.resolved_pairs();
-    result.prune.pivots = stage.pivot_count();
-    result.prune.scanned = counters.scanned;
-    result.prune.skipped_pivot = counters.skipped_pivot;
-    result.prune.skipped_grid = counters.skipped_grid;
-    result.prune.scan_cache_hits = counters.scan_cache_hits;
-    result.prune.bloom_skips = counters.bloom_skips;
-    if (obs::enabled()) {
-      HmObs& o = HmObs::get();
-      o.distances_computed.add(stage.kernel_evals());
-      o.distances_reused.add(stage.cache_hits());
-      o.prune_exact.add(stage.kernel_evals());
-      o.prune_skipped_pivot.add(counters.skipped_pivot);
-      o.prune_skipped_grid.add(counters.skipped_grid);
-      o.cluster_scan_cache_hits.add(counters.scan_cache_hits);
-      o.cluster_bloom_skips.add(counters.bloom_skips);
-      o.cluster_exact_evals.add(stage.kernel_evals());
-    }
-  } else {
-    if (obs::enabled()) HmObs::get().dense_matrix.add(1);
-    const std::uint64_t computed_before = cache != nullptr ? cache->distances_computed : 0;
-    const std::uint64_t reused_before = cache != nullptr ? cache->distances_reused : 0;
-    std::vector<double> distances;
-    {
-      const obs::StageTimer dist_timer(obs::Stage::kPairwiseDistance);
-      distances = cache != nullptr
-                      ? cached_distances(signatures, hosts, prep.hashes, config, *cache)
-                  : config.distance == HmDistance::kBinL1
-                      ? pairwise_bin_l1(signatures, config)
-                      : stats::pairwise_emd(signatures, config.threads);
-      if (cache == nullptr && obs::enabled())
-        HmObs::get().distances_computed.add(result.prune.pairs_total);
-    }
-    result.prune.exact_kernel_evals =
-        cache != nullptr ? cache->distances_computed - computed_before
-                         : result.prune.pairs_total;
-    result.prune.cache_hits = cache != nullptr ? cache->distances_reused - reused_before : 0;
-    result.prune.resolved_pairs = result.prune.pairs_total;
-    if (obs::enabled()) HmObs::get().cluster_exact_evals.add(result.prune.exact_kernel_evals);
-
-    const auto groups = [&] {
-      const obs::StageTimer cluster_timer(obs::Stage::kClustering);
-      const stats::Dendrogram dendrogram = stats::agglomerative_average_linkage(distances, n);
-      return dendrogram.cut_top_fraction(config.cut_fraction);
-    }();
-
-    for (const auto& group : groups) {
-      double diameter = 0.0;
-      std::size_t medoid = 0;
-      std::vector<double> row_sum(group.size(), 0.0);
-      for (std::size_t a = 0; a < group.size(); ++a) {
-        for (std::size_t b = a + 1; b < group.size(); ++b) {
-          const double v = distances[group[a] * n + group[b]];
-          diameter = std::max(diameter, v);
-          row_sum[a] += v;
-          row_sum[b] += v;
-        }
-      }
-      for (std::size_t a = 1; a < group.size(); ++a)
-        if (row_sum[a] < row_sum[medoid]) medoid = a;
-      emit_cluster(group, diameter, medoid);
-    }
-  }
-
   finish();
   return result;
 }

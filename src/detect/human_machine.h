@@ -75,8 +75,11 @@ struct HumanMachineConfig {
   HmDistance distance = HmDistance::kEmd;
   /// Distance/clustering strategy; see HmPruning.
   HmPruning pruning = HmPruning::kAuto;
-  /// kAuto switches to the pruned path at this many eligible hosts.
-  std::size_t prune_min_hosts = 64;
+  /// kAuto switches to the pruned path at this many eligible hosts. Below
+  /// it the dense path's fixed costs win: in bench_cluster the dense path
+  /// is ahead at 128 and 192 hosts at 1 and 4 threads, and the pruned path
+  /// pulls ahead from 256 hosts at 1 thread (DESIGN.md §15).
+  std::size_t prune_min_hosts = 256;
   /// Pivot leaves for the triangle-inequality tier (clamped to the host
   /// count). More pivots = tighter bounds at n·pivots extra exact
   /// evaluations. Benched across 256..4096 hosts the marginal pivot saves
@@ -168,41 +171,6 @@ struct HumanMachineResult {
                                                     const HostSet& input,
                                                     const HumanMachineConfig& config = {},
                                                     HmCache* cache = nullptr);
-
-/// One shard-local θ_hm cluster exported to the global merge stage of the
-/// sharded detector (src/shard/merge.h): its members, its exact diameter
-/// under the configured distance, and a medoid representative — the member
-/// minimizing the sum of distances to the other members (ties by smallest
-/// address) — whose signature stands for the whole cluster in the global
-/// weighted agglomeration. Unlike HostCluster, singletons and pairs are
-/// exported too: a shard cannot know whether its lone bot joins a big
-/// cluster on another shard.
-struct LocalCluster {
-  std::vector<simnet::Ipv4> members;  // ascending addresses
-  double diameter = 0.0;              // exact max pairwise distance (0 below size 2)
-  simnet::Ipv4 medoid;
-  stats::Signature medoid_signature;
-};
-
-struct LocalClusterResult {
-  std::vector<LocalCluster> clusters;  // every cluster, singletons included
-  HostSet skipped;                     // too few samples (plus the degenerate)
-  HostSet degenerate;
-  bool degraded = false;
-  HmPruneStats prune;
-};
-
-/// Shard-local first level of the two-level θ_hm clustering: the same
-/// eligibility screen, signature build, UPGMA and top-fraction cut as
-/// human_machine_test over this shard's hosts, but with *every* resulting
-/// cluster exported (no min_cluster_size floor, no τ_hm filter — both are
-/// global decisions the merge stage makes) together with its exact diameter
-/// and medoid signature. Shares the HmCache warm path and the pruned
-/// drivers; deterministic for a given input at every thread count.
-[[nodiscard]] LocalClusterResult human_machine_local(const FeatureMap& features,
-                                                     const HostSet& input,
-                                                     const HumanMachineConfig& config = {},
-                                                     HmCache* cache = nullptr);
 
 /// The kBinL1 distance matrix (the ablation alternative to EMD): every
 /// signature is re-binned once onto an absolute grid of width

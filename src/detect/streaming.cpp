@@ -15,6 +15,7 @@
 #include "obs/profiler.h"
 #include "util/checksum.h"
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace tradeplot::detect {
 
@@ -56,45 +57,65 @@ struct StreamObs {
   }
 };
 
+constexpr std::uint32_t kResponderBit = 0x80000000u;
+
 }  // namespace
 
 StreamingDetector::StreamingDetector(StreamingConfig config, VerdictSink sink)
-    : config_(std::move(config)), sink_(std::move(sink)) {
+    : config_(std::move(config)),
+      sink_(std::move(sink)),
+      ring_(config_.shards) {  // ConfigError on zero shards
   if (!config_.is_internal)
     throw util::ConfigError("StreamingDetector: is_internal required");
   if (config_.window <= 0.0)
     throw util::ConfigError("StreamingDetector: window must be > 0");
   if (!sink_) throw util::ConfigError("StreamingDetector: verdict sink required");
+  accumulators_.resize(config_.shards);
+  if (config_.shards > 1) ops_.resize(config_.shards);
+  // The exact global shed order would need cross-shard coordination on the
+  // hot path; each shard sheds against its share instead (at one shard the
+  // whole budget applies).
+  shard_budget_ = config_.timing_budget == 0
+                      ? 0
+                      : std::max<std::size_t>(1, config_.timing_budget / config_.shards);
 }
 
-void StreamingDetector::ingest_one(simnet::Ipv4 src, simnet::Ipv4 dst, double start_time,
-                                   std::uint64_t bytes_src, std::uint64_t bytes_dst,
-                                   bool failed) {
+void StreamingDetector::advance_to(double t) {
   if (!window_open_) {
     // First flow anchors the first window at a whole multiple of D, so
     // window boundaries are stable regardless of when traffic starts.
-    window_start_ = std::floor(start_time / config_.window) * config_.window;
+    window_start_ = std::floor(t / config_.window) * config_.window;
     window_open_ = true;
   }
-  roll_to(start_time);
+  while (t >= window_start_ + config_.window) {
+    emit();
+    window_start_ += config_.window;
+  }
+}
 
-  if (config_.is_internal(src))
-    acc_.apply_initiator(src, dst, start_time, bytes_src, failed, config_.timing_budget);
-  if (config_.is_internal(dst) && !failed)
-    acc_.apply_responder(dst, start_time, bytes_dst);
-  ++flows_in_window_;
-  ++flows_ingested_total_;
+void StreamingDetector::observe_ingest(std::size_t flows) {
+  if (!obs::enabled() || flows == 0) return;
+  StreamObs& o = StreamObs::get();
+  o.flows.add(flows);
+  std::size_t samples = 0;
+  for (const WindowAccumulator& acc : accumulators_) samples += acc.timing_samples();
+  o.timing_samples.set(static_cast<double>(samples));
+  o.timing_budget.set(static_cast<double>(config_.timing_budget));
 }
 
 void StreamingDetector::ingest(const netflow::FlowRecord& flow) {
-  ingest_one(flow.src, flow.dst, flow.start_time, flow.bytes_src, flow.bytes_dst,
-             flow.failed());
-  if (obs::enabled()) {
-    StreamObs& o = StreamObs::get();
-    o.flows.add();
-    o.timing_samples.set(static_cast<double>(acc_.timing_samples()));
-    o.timing_budget.set(static_cast<double>(config_.timing_budget));
+  advance_to(flow.start_time);
+  if (config_.is_internal(flow.src)) {
+    accumulators_[ring_.shard_of(flow.src)].apply_initiator(
+        flow.src, flow.dst, flow.start_time, flow.bytes_src, flow.failed(), shard_budget_);
   }
+  if (config_.is_internal(flow.dst) && !flow.failed()) {
+    accumulators_[ring_.shard_of(flow.dst)].apply_responder(flow.dst, flow.start_time,
+                                                            flow.bytes_dst);
+  }
+  ++flows_in_window_;
+  ++flows_ingested_total_;
+  observe_ingest(1);
 }
 
 void StreamingDetector::ingest(const netflow::FlowBatch& batch) {
@@ -103,49 +124,103 @@ void StreamingDetector::ingest(const netflow::FlowBatch& batch) {
 
 void StreamingDetector::ingest(const netflow::FlowBatch& batch, std::size_t begin,
                                std::size_t end) {
+  // Split the range at window boundaries: each segment is accumulated into
+  // the open window, then the next segment's first row closes it. Late rows
+  // (stamped before the window start) stay in the open window, so verdicts
+  // land exactly where record-at-a-time ingestion would put them.
+  const double* start = batch.start_time();
+  std::size_t i = begin;
+  while (i < end) {
+    advance_to(start[i]);
+    const double limit = window_start_ + config_.window;
+    std::size_t k = i + 1;
+    while (k < end && start[k] < limit) ++k;
+    apply(batch, i, k);
+    i = k;
+  }
+  observe_ingest(end - begin);
+}
+
+void StreamingDetector::apply(const netflow::FlowBatch& batch, std::size_t begin,
+                              std::size_t end) {
   // Column scan: only the six fields the detector reads are ever touched,
   // so ingesting a batch streams ~33 bytes per flow instead of the whole
-  // 144-byte record. Windows still roll per flow (ingest_one), so verdicts
-  // are identical to record-at-a-time ingestion of the same rows.
+  // 144-byte record.
   const simnet::Ipv4* src = batch.src();
   const simnet::Ipv4* dst = batch.dst();
   const double* start = batch.start_time();
   const std::uint64_t* bytes_src = batch.bytes_src();
   const std::uint64_t* bytes_dst = batch.bytes_dst();
   const netflow::FlowState* state = batch.state();
-  for (std::size_t i = begin; i < end; ++i) {
-    ingest_one(src[i], dst[i], start[i], bytes_src[i], bytes_dst[i],
-               state[i] != netflow::FlowState::kEstablished);
+  const auto& internal = config_.is_internal;
+  if (accumulators_.size() == 1) {
+    WindowAccumulator& acc = accumulators_[0];
+    for (std::size_t i = begin; i < end; ++i) {
+      const bool failed = state[i] != netflow::FlowState::kEstablished;
+      if (internal(src[i]))
+        acc.apply_initiator(src[i], dst[i], start[i], bytes_src[i], failed, shard_budget_);
+      if (internal(dst[i]) && !failed) acc.apply_responder(dst[i], start[i], bytes_dst[i]);
+    }
+  } else {
+    // Route once on this thread; a host's ops land in its shard's list in
+    // row order, so every shard sees exactly the sub-sequence of flows it
+    // owns, in arrival order.
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto row = static_cast<std::uint32_t>(i);
+      if (internal(src[i])) ops_[ring_.shard_of(src[i])].push_back(row);
+      if (internal(dst[i]) && state[i] == netflow::FlowState::kEstablished)
+        ops_[ring_.shard_of(dst[i])].push_back(row | kResponderBit);
+    }
+    // One task per shard; each touches only its own accumulator, so every
+    // thread count produces identical per-shard state.
+    util::parallel_for(0, accumulators_.size(), 1, [&](std::size_t s) {
+      WindowAccumulator& acc = accumulators_[s];
+      for (const std::uint32_t op : ops_[s]) {
+        const std::size_t i = op & ~kResponderBit;
+        if ((op & kResponderBit) != 0) {
+          acc.apply_responder(dst[i], start[i], bytes_dst[i]);
+        } else {
+          acc.apply_initiator(src[i], dst[i], start[i], bytes_src[i],
+                              state[i] != netflow::FlowState::kEstablished, shard_budget_);
+        }
+      }
+      ops_[s].clear();
+    });
   }
-  if (obs::enabled() && end > begin) {
-    StreamObs& o = StreamObs::get();
-    o.flows.add(end - begin);
-    o.timing_samples.set(static_cast<double>(acc_.timing_samples()));
-    o.timing_budget.set(static_cast<double>(config_.timing_budget));
-  }
-}
-
-void StreamingDetector::roll_to(double time) {
-  while (window_open_ && time >= window_start_ + config_.window) {
-    emit();
-    window_start_ += config_.window;
-  }
+  flows_in_window_ += end - begin;
+  flows_ingested_total_ += end - begin;
 }
 
 void StreamingDetector::emit() {
   const obs::StageTimer close_timer(obs::Stage::kWindowClose);
+  const std::size_t shards = accumulators_.size();
+  std::vector<std::size_t> shard_hosts(shards);
+  std::size_t hosts_shed = 0, samples_shed = 0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    shard_hosts[s] = accumulators_[s].host_count();
+    hosts_shed += accumulators_[s].hosts_shed();
+    samples_shed += accumulators_[s].timing_samples_shed();
+  }
+
   // Finalize per-destination state (churn + interstitials) via the same
-  // helper as the batch extractor.
-  FeatureMap features = acc_.finalize(config_.new_ip_grace);
+  // helper as the batch extractor — every shard in parallel, each writing
+  // its own slot — then splice the host-disjoint maps into one (node moves,
+  // no feature copies).
+  std::vector<FeatureMap> parts(shards);
+  util::parallel_for(0, shards, 1, [&](std::size_t s) {
+    parts[s] = accumulators_[s].finalize(config_.new_ip_grace);
+  });
+  FeatureMap features = std::move(parts[0]);
+  for (std::size_t s = 1; s < shards; ++s) features.merge(parts[s]);
 
   WindowVerdict verdict;
   verdict.window_index = windows_emitted_;
   verdict.window_start = window_start_;
   verdict.window_end = window_start_ + config_.window;
   verdict.flows_seen = flows_in_window_;
-  verdict.degraded = acc_.hosts_shed() > 0;
-  verdict.hosts_shed = acc_.hosts_shed();
-  verdict.timing_samples_shed = acc_.timing_samples_shed();
+  verdict.degraded = hosts_shed > 0;
+  verdict.hosts_shed = hosts_shed;
+  verdict.timing_samples_shed = samples_shed;
   if (!features.empty()) {
     verdict.result =
         find_plotters(features, config_.pipeline, config_.signature_cache ? &hm_cache_ : nullptr);
@@ -156,13 +231,21 @@ void StreamingDetector::emit() {
   if (obs::enabled()) {
     StreamObs& o = StreamObs::get();
     (verdict.degraded ? o.windows_degraded : o.windows).add();
-    o.hosts_shed.add(acc_.hosts_shed());
-    o.samples_shed.add(acc_.timing_samples_shed());
+    o.hosts_shed.add(hosts_shed);
+    o.samples_shed.add(samples_shed);
     o.window_flows.observe(static_cast<double>(flows_in_window_));
     o.timing_samples.set(0.0);
+    // How evenly the ring spread this window's hosts (one series per shard).
+    for (std::size_t s = 0; s < shards; ++s) {
+      obs::Registry::global()
+          .gauge("tradeplot_shard_window_hosts",
+                 "Hosts a shard tracked in the last closed window",
+                 {{"shard", std::to_string(s)}})
+          .set(static_cast<double>(shard_hosts[s]));
+    }
   }
 
-  acc_.reset();
+  for (WindowAccumulator& acc : accumulators_) acc.reset();
   flows_in_window_ = 0;
   ++windows_emitted_;
 }
@@ -180,17 +263,22 @@ void StreamingDetector::flush() {
 //   u32 magic "TPCK"   u32 version   u64 payload_size   payload   u32 crc32
 //
 // The payload opens with the config parameters the state depends on
-// (window D, churn grace) so a restore into a differently-configured
-// detector is rejected instead of silently producing different verdicts.
+// (window D, churn grace, shard count) so a restore into a differently-
+// configured detector is rejected instead of silently producing different
+// verdicts — a different shard count would route a host's future flows to
+// a shard that does not hold its accumulated state. Then the window cursor,
+// one accumulator section per shard, and the one θ_hm signature cache
+// (detect/hm_cache.h), so a resumed monitor keeps its warm cross-window
+// cache. (The codec classes live in detect/payload_codec.h.)
 //
-// Version 2 appends the θ_hm signature cache (detect/hm_cache.h) after the
-// per-host state, so a resumed monitor keeps its warm cross-window cache.
-// (The codec classes live in detect/payload_codec.h, shared with the cache.)
+// Version 3 is the one image at every shard count. Version 2 (no shard
+// count, one accumulator) and the former separate sharded image are rejected
+// by the version and magic checks.
 
 namespace {
 
 constexpr std::uint32_t kCkptMagic = 0x4B435054;  // "TPCK" on the wire
-constexpr std::uint32_t kCkptVersion = 2;
+constexpr std::uint32_t kCkptVersion = 3;
 /// Upper bound on a plausible checkpoint payload; a corrupted size field
 /// must not make restore attempt a multi-gigabyte allocation.
 constexpr std::uint64_t kCkptMaxPayload = 1ull << 30;
@@ -202,12 +290,13 @@ void StreamingDetector::save_checkpoint(std::ostream& out) const {
   PayloadWriter w;
   w.put(config_.window);
   w.put(config_.new_ip_grace);
+  w.put(static_cast<std::uint64_t>(config_.shards));
   w.put(static_cast<std::uint8_t>(window_open_));
   w.put(window_start_);
   w.put(static_cast<std::uint64_t>(flows_in_window_));
   w.put(static_cast<std::uint64_t>(windows_emitted_));
   w.put(flows_ingested_total_);
-  acc_.encode(w);
+  for (const WindowAccumulator& acc : accumulators_) acc.encode(w);
   hm_cache_.encode(w);
 
   const std::string& payload = w.bytes();
@@ -253,9 +342,13 @@ void StreamingDetector::restore_checkpoint(std::istream& in) {
   PayloadReader r(payload);
   const auto window = r.take<double>();
   const auto grace = r.take<double>();
+  const auto shards = r.take<std::uint64_t>();
   if (window != config_.window || grace != config_.new_ip_grace)
     throw util::ConfigError(
         "checkpoint: saved with different window/grace than this detector");
+  if (shards != config_.shards)
+    throw util::ConfigError("checkpoint: saved with " + std::to_string(shards) +
+                            " shards, this detector runs " + std::to_string(config_.shards));
 
   // Decode into fresh state first; only swap in once the whole payload
   // parsed, so a fault mid-payload never leaves the detector half-restored.
@@ -264,13 +357,13 @@ void StreamingDetector::restore_checkpoint(std::istream& in) {
   const auto flows_in_window = r.take<std::uint64_t>();
   const auto windows_emitted = r.take<std::uint64_t>();
   const auto flows_total = r.take<std::uint64_t>();
-  WindowAccumulator acc;
-  acc.decode(r);
+  std::vector<WindowAccumulator> accumulators(config_.shards);
+  for (WindowAccumulator& acc : accumulators) acc.decode(r);
   HmCache cache;
   cache.decode(r);
   if (!r.exhausted()) throw util::ParseError("checkpoint: trailing bytes in payload");
 
-  acc_ = std::move(acc);
+  accumulators_ = std::move(accumulators);
   hm_cache_ = std::move(cache);
   window_open_ = open != 0;
   window_start_ = window_start;

@@ -1,10 +1,10 @@
 // Streaming detection: FindPlotters as an online monitor.
 //
 // The paper's vantage point is a border monitor ingesting flow records
-// continuously. StreamingDetector accepts flows one at a time (in rough
-// time order), maintains per-host state incrementally, and emits a full
-// FindPlotters result at each detection-window boundary (the paper's
-// window D, one day by default), then rolls the window forward.
+// continuously. StreamingDetector accepts flows one at a time or in columnar
+// batches (in rough time order), maintains per-host state incrementally,
+// and emits a full FindPlotters result at each detection-window boundary
+// (the paper's window D, one day by default), then rolls the window forward.
 //
 // Memory is bounded by the flows of the current window: all per-host state
 // is dropped when the window rolls. Flow ingestion is O(1) amortised per
@@ -12,6 +12,21 @@
 // code as the batch extractor, so a window's verdict is identical to
 // running extract_features + find_plotters over that window's flows — for
 // any arrival order of the flows within the window.
+//
+// Shards. With StreamingConfig::shards = N > 1 the per-host state is split
+// across N WindowAccumulators by a consistent-hash ring (shard/ring.h): a
+// batch segment is routed once on the ingest thread into per-shard op lists
+// (row order preserved per host), and the accumulation then runs
+// shard-parallel on util::ThreadPool workers, each touching only its own
+// shard. At a window close every shard finalizes in parallel, the
+// host-disjoint per-shard FeatureMaps are spliced into one, and
+// find_plotters runs once over it with the detector's one HmCache. The
+// percentile thresholds and the θ_hm clustering therefore see the whole
+// live population, and verdicts are bit-identical at every shard count —
+// except in windows the timing budget degraded (each shard sheds against
+// budget/N on its own hosts; degraded windows are exempt from cross-N
+// equality, DESIGN.md §18). With N == 1 there is no ring lookup, no op list
+// and no pool dispatch: rows go straight into the one accumulator.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +39,7 @@
 #include "detect/features.h"
 #include "detect/find_plotters.h"
 #include "detect/hm_cache.h"
+#include "shard/ring.h"
 
 namespace tradeplot::netflow {
 class TraceReader;
@@ -32,6 +48,9 @@ class TraceReader;
 namespace tradeplot::detect {
 
 struct StreamingConfig {
+  /// Worker shards for per-host accumulation (>= 1). Part of the checkpoint
+  /// identity: a checkpoint restores only into the same shard count.
+  std::size_t shards = 1;
   /// Detection window length D (seconds). Results fire at each boundary.
   double window = 6 * 3600.0;
   /// Predicate for internal hosts (required).
@@ -49,7 +68,8 @@ struct StreamingConfig {
   /// under ~3/4 of the budget. Shed hosts keep their scalar counters exact
   /// (θ_vol and the failed-rate reduction are unaffected) but lose churn and
   /// interstitial evidence for the window, and the window's verdict is
-  /// marked degraded.
+  /// marked degraded. With shards > 1 each shard enforces budget/shards
+  /// (at least 1) over its own hosts.
   std::size_t timing_budget = 0;
   /// Reuse θ_hm signatures and distance rows across windows for hosts whose
   /// timing buffers are unchanged (see detect/hm_cache.h). Verdicts are
@@ -79,8 +99,8 @@ class StreamingDetector {
  public:
   using VerdictSink = std::function<void(const WindowVerdict&)>;
 
-  /// Throws util::ConfigError if the config lacks is_internal or has a
-  /// non-positive window.
+  /// Throws util::ConfigError if the config has zero shards, lacks
+  /// is_internal or a sink, or has a non-positive window.
   StreamingDetector(StreamingConfig config, VerdictSink sink);
 
   /// Ingests one flow. Flows may arrive slightly out of order *within* a
@@ -118,38 +138,47 @@ class StreamingDetector {
   /// matrix rows.
   [[nodiscard]] const HmCache& hm_cache() const { return hm_cache_; }
 
-  /// Serializes the full detector state (window bounds, per-host
-  /// accumulators, counters) as a versioned, CRC-checked binary image.
-  /// A detector restored from the checkpoint and fed the remaining flows
-  /// emits verdicts identical to the uninterrupted run. Throws
-  /// util::IoError if the stream fails.
+  /// Serializes the full detector state (window bounds, counters, every
+  /// shard's accumulator, the θ_hm cache) as a versioned, CRC-checked binary
+  /// image (TPCK v3). A detector restored from the checkpoint and fed the
+  /// remaining flows emits verdicts identical to the uninterrupted run.
+  /// Throws util::IoError if the stream fails.
   void save_checkpoint(std::ostream& out) const;
   void save_checkpoint_file(const std::string& path) const;
 
   /// Replaces this detector's state with a checkpoint image. The detector
-  /// must have been constructed with the same window and new_ip_grace as
-  /// the one that saved it (util::ConfigError otherwise). Throws
+  /// must have been constructed with the same window, new_ip_grace and
+  /// shard count as the one that saved it (util::ConfigError otherwise: the
+  /// routing would no longer match the saved per-shard state). Throws
   /// util::ParseError on a bad magic/version/checksum or a truncated image
-  /// — corrupt checkpoints are rejected, never partially applied.
+  /// — corrupt checkpoints are rejected, never partially applied. Images of
+  /// older formats (TPCK v2, the former separate sharded image) are rejected
+  /// with "checkpoint: unsupported version 2" / "checkpoint: bad magic".
   void restore_checkpoint(std::istream& in);
   void restore_checkpoint_file(const std::string& path);
 
  private:
-  void ingest_one(simnet::Ipv4 src, simnet::Ipv4 dst, double start_time,
-                  std::uint64_t bytes_src, std::uint64_t bytes_dst, bool failed);
-  void roll_to(double time);
+  /// Anchors the first window at `t` or closes every window `t` is past.
+  void advance_to(double t);
+  /// Accumulates rows [begin, end), all inside the open window.
+  void apply(const netflow::FlowBatch& batch, std::size_t begin, std::size_t end);
   void emit();
+  void observe_ingest(std::size_t flows);
 
   StreamingConfig config_;
   VerdictSink sink_;
+  shard::HashRing ring_;
+  std::size_t shard_budget_ = 0;  // per-shard timing budget
 
-  // Per-host accumulation for the current window (see detect/accumulator.h):
-  // scalar counters update flow by flow; per-destination start times
-  // accumulate raw and are finalized (sorted -> churn + interstitials) by
-  // the shared finalize_destinations() when the window closes, exactly as
-  // in the batch extractor. The sharded detector reuses the same class, one
-  // accumulator per shard.
-  WindowAccumulator acc_;
+  // Per-host accumulation for the current window (see detect/accumulator.h),
+  // one accumulator per shard: scalar counters update flow by flow;
+  // per-destination start times accumulate raw and are finalized (sorted ->
+  // churn + interstitials) by the shared finalize_destinations() when the
+  // window closes, exactly as in the batch extractor.
+  std::vector<WindowAccumulator> accumulators_;
+  /// Per-shard routed op lists for the batch segment being applied (shards
+  /// > 1 only): row index, top bit marking a responder-side op.
+  std::vector<std::vector<std::uint32_t>> ops_;
 
   HmCache hm_cache_;
 

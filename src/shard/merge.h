@@ -1,41 +1,15 @@
-// Global merge stage of the sharded detector: the cross-shard computations
-// that a per-host partition cannot finish locally.
+// Cross-shard analysis over per-shard feature maps.
 //
-// The paper's thresholds are all *relative* — percentiles over the live
-// population (§V, §IV) — so every scalar stage needs a global distribution:
-//
-//  * data reduction, θ_vol, θ_churn — each shard summarizes its hosts'
-//    feature values in a mergeable QuantileSketch (stats/quantile_sketch.h);
-//    the merged sketch yields the global threshold together with a tracked
-//    worst-case rank-error bound. For populations up to the sketch capacity
-//    (default 1024 per level) the sketch is lossless and the thresholds are
-//    bit-identical to the exact percentiles the single detector computes.
-//    The reduction's strict-then-inclusive fallback needs one more global
-//    fact — whether strict `>` selects anybody at all — which merges as a
-//    plain sum of per-shard survivor counts.
-//
-//  * θ_hm — two-level clustering. Level one: each shard runs the standard
-//    UPGMA + top-fraction cut over its own hosts (human_machine_local,
-//    sharing the PR-6/9 pruned drivers and the per-shard HmCache) and
-//    exports every local cluster as a representative: medoid signature,
-//    member list, exact local diameter. Level two: the representatives are
-//    stitched globally — dense pairwise distances between medoid signatures
-//    under the same metric, weighted UPGMA (weights = cluster sizes, see
-//    stats::agglomerative_average_linkage_weighted), the same top-fraction
-//    cut, and a τ_hm quantile over the stitched clusters' diameter
-//    estimates. A stitched diameter is an admissible upper bound:
-//    max(local diameters, max over rep pairs of d(medoid_a, medoid_b) +
-//    diam_a + diam_b) — by the triangle inequality (EMD and bin-L1 are both
-//    metrics) no member pair can be farther apart.
-//
-// Everything here is deterministic: shards are merged in ascending index
-// order, per-shard host lists are address-sorted, and the level-two matrix
-// is dense (representative counts are tiny next to the host population).
+// FindPlotters' thresholds are percentiles over the whole live population
+// and θ_hm clusters every surviving host of the window together, so the
+// only exact merge is to run the pipeline once over the union of the
+// host-disjoint per-shard maps. That is what StreamingDetector does at a
+// window close; this helper is the same step for callers that hold the
+// per-shard maps themselves (e.g. a traced replay of the detector).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "detect/find_plotters.h"
 
@@ -45,30 +19,9 @@ class HmCache;
 
 namespace tradeplot::shard {
 
-/// The merged relative thresholds and their sketch error bounds, surfaced
-/// so tests (and operators) can assert how far a merged threshold's rank may
-/// sit from the exact percentile. A bound of 0 means the merged sketch was
-/// lossless and the threshold is bit-identical to the single-detector one.
-struct MergedThresholds {
-  double reduction = 0.0;
-  double vol = 0.0;
-  double churn = 0.0;
-  std::uint64_t reduction_error_bound = 0;  // worst-case rank displacement
-  std::uint64_t vol_error_bound = 0;
-  std::uint64_t churn_error_bound = 0;
-  std::uint64_t eligible_count = 0;  // hosts behind the reduction threshold
-  std::uint64_t reduced_count = 0;   // hosts surviving data reduction
-};
-
 struct MergedPipelineReport {
-  MergedThresholds thresholds;
-  std::size_t shard_count = 0;
-  /// Shard-local clusters exported to the level-two stitch.
+  /// Hosts that entered θ_hm (S_vol ∪ S_churn over the whole population).
   std::size_t representatives = 0;
-  /// Strict `>` selected nobody and the reduction fell back to `>=`
-  /// (ReductionComparison::kStrictThenInclusive's degenerate case, decided
-  /// on the *global* strict-survivor count).
-  bool reduction_inclusive = false;
 };
 
 struct MergedResult {
@@ -76,16 +29,21 @@ struct MergedResult {
   MergedPipelineReport report;
 };
 
-/// Runs the merged FindPlotters pipeline over per-shard feature maps (one
-/// entry per shard, host-disjoint by the routing invariant). `caches` must
-/// be empty or have one (possibly null) HmCache* per shard — each shard's
-/// level-one clustering keeps its own warm cache. `sketch_k` is the
-/// QuantileSketch capacity. Deterministic for fixed inputs at every thread
-/// count. Throws util::ConfigError if `caches` is non-empty with a size
-/// other than shard_features.size().
-[[nodiscard]] MergedResult merged_find_plotters(
+/// find_plotters over the union of `shard_features` (host-disjoint), with
+/// the first of `caches` (if any) as the θ_hm cache. The result is
+/// identical to find_plotters over one map holding every host.
+[[nodiscard]] inline MergedResult merged_find_plotters(
     std::span<const detect::FeatureMap> shard_features,
-    const detect::FindPlottersConfig& config, std::span<detect::HmCache* const> caches = {},
-    std::size_t sketch_k = 1024);
+    const detect::FindPlottersConfig& config, std::span<detect::HmCache* const> caches = {}) {
+  detect::FeatureMap all;
+  std::size_t hosts = 0;
+  for (const detect::FeatureMap& m : shard_features) hosts += m.size();
+  all.reserve(hosts);
+  for (const detect::FeatureMap& m : shard_features) all.insert(m.begin(), m.end());
+  MergedResult merged;
+  merged.result = detect::find_plotters(all, config, caches.empty() ? nullptr : caches[0]);
+  merged.report.representatives = merged.result.vol_or_churn.size();
+  return merged;
+}
 
 }  // namespace tradeplot::shard

@@ -1,7 +1,7 @@
 // Consistent-hash ring assigning source hosts to worker shards.
 //
-// The sharded detector partitions the per-host state of one detection
-// window across N workers. The partition must be (a) deterministic — every
+// StreamingDetector (StreamingConfig::shards > 1) partitions the per-host
+// state of one detection window across N workers. The partition must be (a) deterministic — every
 // run, every process, every shard count maps a host the same way, because
 // checkpoints encode per-shard state; (b) balanced — per-shard host counts
 // within a few percent of n/N so the slowest shard does not dominate the

@@ -1329,59 +1329,4 @@ double cluster_diameter(std::span<const double> distances, std::size_t n,
   return diameter;
 }
 
-Dendrogram agglomerative_average_linkage_weighted(std::span<const double> distances,
-                                                  std::size_t n,
-                                                  std::span<const std::size_t> weights) {
-  if (n == 0) throw util::ConfigError("clustering zero items");
-  if (distances.size() != n * n) throw util::ConfigError("distance matrix size mismatch");
-  if (weights.size() != n) throw util::ConfigError("weights size mismatch");
-  for (const std::size_t w : weights)
-    if (w == 0) throw util::ConfigError("representative weight must be positive");
-  if (n == 1) return Dendrogram(1, {});
-
-  // The representative count is the number of shard-local clusters — small
-  // next to the host population — so a straightforward min-pair scan per
-  // merge (O(n³) worst case) is cheap and keeps the tie behaviour obvious:
-  // smallest height wins, ties go to the lexicographically smallest active
-  // (i, j) slot pair under the same tolerance as the unweighted chain.
-  std::vector<double> d(distances.begin(), distances.end());
-  std::vector<std::size_t> size(weights.begin(), weights.end());
-  std::vector<bool> active(n, true);
-  std::vector<std::size_t> node_id(n);
-  std::iota(node_id.begin(), node_id.end(), 0);
-  const auto dist = [&](std::size_t a, std::size_t b) -> double& { return d[a * n + b]; };
-
-  std::vector<Merge> merges;
-  merges.reserve(n - 1);
-  for (std::size_t remaining = n; remaining > 1; --remaining) {
-    std::size_t best_i = n, best_j = n;
-    double best = std::numeric_limits<double>::max();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (!active[j]) continue;
-        if (dist(i, j) < best - 1e-15) {
-          best = dist(i, j);
-          best_i = i;
-          best_j = j;
-        }
-      }
-    }
-    merges.push_back(Merge{node_id[best_i], node_id[best_j], best,
-                           size[best_i] + size[best_j]});
-    for (std::size_t k = 0; k < n; ++k) {
-      if (!active[k] || k == best_i || k == best_j) continue;
-      const double na = static_cast<double>(size[best_i]);
-      const double nb = static_cast<double>(size[best_j]);
-      const double merged = (na * dist(best_i, k) + nb * dist(best_j, k)) / (na + nb);
-      dist(best_i, k) = merged;
-      dist(k, best_i) = merged;
-    }
-    size[best_i] += size[best_j];
-    active[best_j] = false;
-    node_id[best_i] = n + merges.size() - 1;
-  }
-  return Dendrogram(n, sort_merges_by_height(std::move(merges), n));
-}
-
 }  // namespace tradeplot::stats

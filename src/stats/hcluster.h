@@ -63,19 +63,6 @@ class Dendrogram {
 [[nodiscard]] double cluster_diameter(std::span<const double> distances, std::size_t n,
                                       std::span<const std::size_t> members);
 
-/// Weighted UPGMA: leaf i stands for `weights[i]` original items collapsed
-/// onto one representative (a shard-local cluster exported by its medoid).
-/// The Lance–Williams recurrence uses the leaf weights, so merge heights
-/// equal what unweighted UPGMA would produce over the expanded population if
-/// every collapsed item sat exactly at its representative — the second
-/// level of the two-level θ_hm clustering. Merge sizes count original items,
-/// ties break deterministically by the smallest (height, slot) pair under
-/// the same 1e-15 tolerance as the unweighted driver. Throws
-/// util::ConfigError on n == 0, a matrix size mismatch, a weights size
-/// mismatch, or a zero weight.
-[[nodiscard]] Dendrogram agglomerative_average_linkage_weighted(
-    std::span<const double> distances, std::size_t n, std::span<const std::size_t> weights);
-
 // ---------------------------------------------------------------------------
 // Pruned (lazy) average linkage — the sub-quadratic θ_hm clustering path.
 //

@@ -5,7 +5,6 @@
 
 #include "detect/features.h"
 #include "obs/metrics.h"
-#include "shard/sharded_detector.h"
 #include "util/error.h"
 #include "util/interrupt.h"
 
@@ -18,52 +17,7 @@ obs::Counter* tenant_counter(const char* name, const char* help, const std::stri
   return &obs::Registry::global().counter(name, help, {{"tenant", tenant}});
 }
 
-/// Duck-typed adapter: both detectors expose the identical surface, so one
-/// template covers both backends.
-template <class Detector>
-class BackendImpl final : public DetectorBackend {
- public:
-  template <class Config>
-  BackendImpl(Config cfg, std::function<void(const detect::WindowVerdict&)> sink)
-      : detector_(std::move(cfg), std::move(sink)) {}
-
-  void ingest(const netflow::FlowBatch& batch, std::size_t begin, std::size_t end) override {
-    detector_.ingest(batch, begin, end);
-  }
-  void flush() override { detector_.flush(); }
-  [[nodiscard]] std::uint64_t flows_ingested_total() const override {
-    return detector_.flows_ingested_total();
-  }
-  void save_checkpoint_file(const std::string& path) const override {
-    detector_.save_checkpoint_file(path);
-  }
-  void restore_checkpoint_file(const std::string& path) override {
-    detector_.restore_checkpoint_file(path);
-  }
-
- private:
-  Detector detector_;
-};
-
 }  // namespace
-
-std::unique_ptr<DetectorBackend> make_detector_backend(
-    const TenantParams& params, std::function<void(const detect::WindowVerdict&)> sink) {
-  if (params.shards <= 1) {
-    detect::StreamingConfig cfg;
-    cfg.window = params.window;
-    cfg.is_internal = detect::default_internal_predicate;
-    cfg.timing_budget = static_cast<std::size_t>(params.timing_budget);
-    return std::make_unique<BackendImpl<detect::StreamingDetector>>(std::move(cfg),
-                                                                    std::move(sink));
-  }
-  shard::ShardedConfig cfg;
-  cfg.shards = static_cast<std::size_t>(params.shards);
-  cfg.window = params.window;
-  cfg.is_internal = detect::default_internal_predicate;
-  cfg.timing_budget = static_cast<std::size_t>(params.timing_budget);
-  return std::make_unique<BackendImpl<shard::ShardedDetector>>(std::move(cfg), std::move(sink));
-}
 
 Tenant::Tenant(TenantParams params, std::string state_dir, util::Clock& clock)
     : params_(std::move(params)), state_dir_(std::move(state_dir)), clock_(clock) {}
@@ -128,8 +82,13 @@ void Tenant::restore_on_start() {
 }
 
 void Tenant::start() {
-  detector_ = make_detector_backend(
-      params_, [this](const detect::WindowVerdict& v) { write_verdict(v); });
+  detect::StreamingConfig cfg;
+  cfg.shards = static_cast<std::size_t>(params_.shards);
+  cfg.window = params_.window;
+  cfg.is_internal = detect::default_internal_predicate;
+  cfg.timing_budget = static_cast<std::size_t>(params_.timing_budget);
+  detector_ = std::make_unique<detect::StreamingDetector>(
+      std::move(cfg), [this](const detect::WindowVerdict& v) { write_verdict(v); });
 
   restore_on_start();
   const std::uint64_t resumed = detector_->flows_ingested_total();
@@ -278,8 +237,8 @@ std::uint64_t Tenant::queued_rows() const {
 }
 
 bool Tenant::update(const TenantParams& fresh) {
-  // shards shapes the live detector and its checkpoint family (TPCK vs
-  // TPSH), so like window/timing_budget it is fixed per process lifetime.
+  // shards shapes the live detector's routing and its checkpoint, so like
+  // window/timing_budget it is fixed per process lifetime.
   const bool compatible = fresh.window == params_.window &&
                           fresh.timing_budget == params_.timing_budget &&
                           fresh.shards == params_.shards;

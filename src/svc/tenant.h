@@ -1,4 +1,6 @@
-// One tenant = one StreamingDetector universe inside the monitor daemon.
+// One tenant = one StreamingDetector universe inside the monitor daemon
+// (TenantParams::shards sets the detector's shard count; verdicts are
+// identical at every count).
 //
 // Connection threads parse kFlows payloads into columnar batches and
 // offer() them here; a dedicated worker thread drains the bounded queue
@@ -43,26 +45,6 @@
 #include "util/clock.h"
 
 namespace tradeplot::svc {
-
-/// The detector surface a tenant worker drives. StreamingDetector (shards =
-/// 1) and shard::ShardedDetector (shards > 1) both satisfy it; the wrapper
-/// keeps svc ignorant of which one runs behind a tenant. Checkpoint images
-/// are format-tagged (TPCK vs TPSH), so restoring a checkpoint written by
-/// the other backend fails loudly and the tenant quarantines it.
-class DetectorBackend {
- public:
-  virtual ~DetectorBackend() = default;
-  virtual void ingest(const netflow::FlowBatch& batch, std::size_t begin, std::size_t end) = 0;
-  virtual void flush() = 0;
-  [[nodiscard]] virtual std::uint64_t flows_ingested_total() const = 0;
-  virtual void save_checkpoint_file(const std::string& path) const = 0;
-  virtual void restore_checkpoint_file(const std::string& path) = 0;
-};
-
-/// Builds the backend params_.shards selects (1 = StreamingDetector,
-/// N > 1 = ShardedDetector with N workers).
-[[nodiscard]] std::unique_ptr<DetectorBackend> make_detector_backend(
-    const TenantParams& params, std::function<void(const detect::WindowVerdict&)> sink);
 
 /// One verdict as a JSON line — the tenant verdict-log format, without the
 /// trailing newline. Doubles print at %.17g, so equal verdicts produce equal
@@ -136,9 +118,9 @@ class Tenant {
   [[nodiscard]] const TenantParams& params() const { return params_; }
 
   /// Applies reloadable knobs (queue_capacity, overflow, checkpoint_every,
-  /// policy). Detector-shaping parameters (window, timing_budget) are fixed
-  /// per process lifetime — changing them would invalidate live state and
-  /// saved checkpoints; a mismatch is reported, not applied.
+  /// policy). Detector-shaping parameters (window, timing_budget, shards)
+  /// are fixed per process lifetime — changing them would invalidate live
+  /// state and saved checkpoints; a mismatch is reported, not applied.
   /// Returns false when a fixed parameter differed.
   bool update(const TenantParams& fresh);
 
@@ -160,7 +142,7 @@ class Tenant {
   const std::string state_dir_;
   util::Clock& clock_;
 
-  std::unique_ptr<DetectorBackend> detector_;  // worker thread only (after start)
+  std::unique_ptr<detect::StreamingDetector> detector_;  // worker thread only (after start)
   std::ofstream verdict_log_;
 
   mutable std::mutex mutex_;

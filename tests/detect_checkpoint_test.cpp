@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <vector>
@@ -256,16 +257,38 @@ TEST(Checkpoint, RejectsCorruptImages) {
   // Truncation anywhere is detected.
   EXPECT_THROW(restore_from(good.substr(0, good.size() - 1)), util::ParseError);
   EXPECT_THROW(restore_from(good.substr(0, 10)), util::ParseError);
-  // Bad magic / unsupported version.
+  // Bad magic / unsupported version, including the images of earlier
+  // formats: a TPCK v2 image (single accumulator, no shard count) and the
+  // former separate sharded detector's image (magic 0x48535054) get pinned
+  // errors, never a misparse.
+  const auto expect_parse_error = [&](std::string bad, const std::string& message) {
+    try {
+      restore_from(std::move(bad));
+      ADD_FAILURE() << "expected ParseError: " << message;
+    } catch (const util::ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), "parse error: " + message);
+    }
+  };
   {
     std::string bad = good;
     bad[0] = 'X';
-    EXPECT_THROW(restore_from(bad), util::ParseError);
+    expect_parse_error(bad, "checkpoint: bad magic");
+  }
+  {
+    std::string sharded = good;
+    const std::uint32_t old_sharded_magic = 0x48535054;
+    std::memcpy(sharded.data(), &old_sharded_magic, sizeof(old_sharded_magic));
+    expect_parse_error(sharded, "checkpoint: bad magic");
   }
   {
     std::string bad = good;
     bad[4] = 99;
-    EXPECT_THROW(restore_from(bad), util::ParseError);
+    expect_parse_error(bad, "checkpoint: unsupported version 99");
+  }
+  {
+    std::string v2 = good;
+    v2[4] = 2;
+    expect_parse_error(v2, "checkpoint: unsupported version 2");
   }
 }
 

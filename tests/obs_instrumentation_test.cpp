@@ -205,6 +205,44 @@ TEST(ObsInstrumentation, StreamingScrapeCoversRequiredFamilies) {
             nullptr);
 }
 
+TEST(ObsInstrumentation, ShardedScrapeHasTheSameStagesAndWindowFamily) {
+  // One stage/metric set at every shard count: at shards=4 the scalar and
+  // θ_hm stage timers fire (the pipeline runs once over the whole window),
+  // windows are counted by the one tradeplot_stream_windows_total family,
+  // and each shard reports its host count.
+  const netflow::TraceSet trace = storm_trace();
+  Registry::global().reset();
+  const EnabledGuard guard(true);
+
+  detect::StreamingConfig cfg = streaming_config(600.0);
+  cfg.shards = 4;
+  std::size_t windows = 0;
+  detect::StreamingDetector detector(cfg, [&](const detect::WindowVerdict&) { ++windows; });
+  for (const netflow::FlowRecord& rec : trace.flows()) detector.ingest(rec);
+  detector.flush();
+
+  const MetricsSnapshot snap = Registry::global().snapshot();
+  ASSERT_GT(windows, 0u);
+  EXPECT_EQ(sample_value(snap, "tradeplot_stream_windows_total", {{"outcome", "ok"}}),
+            static_cast<double>(windows));
+  EXPECT_EQ(sample_value(snap, "tradeplot_stream_flows_total"),
+            static_cast<double>(trace.flows().size()));
+  for (const char* stage : {"window_close", "data_reduction", "theta_vol", "theta_churn",
+                            "theta_hm"}) {
+    EXPECT_GT(histogram_count(snap, "tradeplot_stage_duration_seconds", {{"stage", stage}}),
+              0u)
+        << stage;
+  }
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_NE(find_sample(snap, "tradeplot_shard_window_hosts",
+                          {{"shard", std::to_string(s)}}),
+              nullptr)
+        << "shard " << s;
+  }
+  for (const SnapshotSample& s : snap.samples)
+    EXPECT_NE(s.name, "tradeplot_shard_windows_total");
+}
+
 TEST(ObsInstrumentation, ThreadPoolReportsTasksAndQueueDrains) {
   Registry::global().reset();
   const EnabledGuard guard(true);

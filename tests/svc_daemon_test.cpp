@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -493,6 +494,48 @@ TEST(Daemon, CorruptCheckpointIsQuarantinedAndServiceStartsFresh) {
   daemon.stop();
   const std::vector<std::string> expected = batch_oracle(trace_path, cfg.tenants[0]);
   EXPECT_EQ(read_deduped_log(cfg.state_dir + "/campus.verdicts.jsonl"), expected);
+}
+
+TEST(Daemon, OldFormatCheckpointIsQuarantinedAndServiceStartsFresh) {
+  // Images of earlier checkpoint formats — TPCK v2 and the former separate
+  // sharded detector's image — are rejected with a pinned ParseError; the
+  // tenant moves them aside and starts a fresh universe instead of refusing
+  // to serve.
+  std::string image;
+  {
+    detect::StreamingConfig cfg;
+    cfg.window = 60.0;
+    cfg.is_internal = detect::default_internal_predicate;
+    detect::StreamingDetector det(cfg, [](const detect::WindowVerdict&) {});
+    for (const netflow::FlowRecord& r : make_trace(300, 30.0).flows()) det.ingest(r);
+    std::ostringstream out;
+    det.save_checkpoint(out);
+    image = out.str();
+  }
+  std::string v2 = image;
+  v2[4] = 2;  // the version field follows the 4-byte magic
+  std::string sharded = image;
+  const std::uint32_t old_sharded_magic = 0x48535054;
+  std::memcpy(sharded.data(), &old_sharded_magic, sizeof(old_sharded_magic));
+
+  for (const std::string& old : {v2, sharded}) {
+    const std::string dir = make_temp_dir();
+    const DaemonConfig cfg = base_config(dir, "campus");
+    ASSERT_EQ(::mkdir(cfg.state_dir.c_str(), 0755), 0);
+    {
+      std::ofstream out(cfg.state_dir + "/campus.ckpt", std::ios::binary);
+      out << old;
+    }
+    Daemon daemon(cfg);
+    daemon.start();
+    Tenant* tenant = daemon.find_tenant("campus");
+    ASSERT_NE(tenant, nullptr);
+    EXPECT_TRUE(tenant->ready());
+    EXPECT_EQ(tenant->stats().restore_failures, 1u);
+    EXPECT_EQ(tenant->stats().ingested, 0u);  // fresh start
+    EXPECT_TRUE(std::ifstream(cfg.state_dir + "/campus.ckpt.corrupt").is_open());
+    daemon.stop();
+  }
 }
 
 TEST(Daemon, HttpSidecarServesHealthReadinessAndTenants) {

@@ -1,16 +1,19 @@
-// Trace-ingestion throughput: legacy (iostream + stod) vs. current readers.
+// Trace-ingestion throughput: absolute ns/flow of each TraceReader entry
+// point, per trace format.
 //
 // Generates a synthetic trace (default 1,000,000 flows; argv[1] overrides),
-// writes it as CSV and binary, then times four readers over the same files:
-// the pre-rewrite CSV/binary readers (reproduced below verbatim as the
-// baseline) and the current TraceReader-backed read_csv_file /
-// read_binary_file. Every pass is verified to decode the identical TraceSet.
+// writes it as CSV, binary v1 and binary v3, then times over each file:
+//   read_all   — io.h's read_csv_file / read_binary_file, which loop
+//                TraceReader::next_batch into a TraceSet;
+//   next_batch — a next_batch() drain computing counter aggregates;
+//   skip_flows — fast-forwarding past every flow (CSV only: the resume path
+//                of a checkpointed monitor over a CSV trace).
+// Each figure is the median of kReps passes. Every read_all pass must decode
+// the identical TraceSet, every drain the identical aggregates, and every
+// skip the whole trace; any mismatch fails the run.
 //
-// Two columnar profiles ride along: a feature-scan pass (counter reductions
-// over in-memory rows, AoS record walk vs. SoA FlowBatch columns) and a
-// binary drain (record-at-a-time next() over a v1 file vs. next_batch()
-// over a columnar v3 file). Both verify identical aggregates, so the
-// reported speedups change wall clock only.
+// A feature-scan profile rides along: counter reductions over in-memory
+// rows, AoS record walk vs. SoA FlowBatch columns, verified to agree.
 //
 //   bench_io [flows] [--json <path>]
 //
@@ -18,14 +21,13 @@
 // parsed strictly (the readers are single-threaded, but a malformed value in
 // the environment should fail any bench run, not be silently ignored): a bad
 // value aborts with the pinned config error on stderr and exit code 2.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,154 +40,6 @@
 #include "util/rng.h"
 
 using namespace tradeplot;
-
-namespace legacy {
-
-// The seed repo's readers, kept as the measurement baseline. Do not modernize:
-// the point of this file is to quantify what the rewrite bought.
-using namespace tradeplot::netflow;
-
-constexpr std::string_view kCsvHeader =
-    "src,dst,sport,dport,proto,start,end,pkts_src,pkts_dst,bytes_src,bytes_dst,state,payload";
-
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  throw util::ParseError("bad hex digit");
-}
-
-std::vector<std::string> split(const std::string& line, char sep) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t next = line.find(sep, pos);
-    if (next == std::string::npos) {
-      out.push_back(line.substr(pos));
-      return out;
-    }
-    out.push_back(line.substr(pos, next - pos));
-    pos = next + 1;
-  }
-}
-
-HostKind host_kind_from_string(std::string_view s) {
-  for (int i = 0; i <= static_cast<int>(HostKind::kNugache); ++i) {
-    const auto kind = static_cast<HostKind>(i);
-    if (to_string(kind) == s) return kind;
-  }
-  throw util::ParseError("unknown host kind '" + std::string(s) + "'");
-}
-
-TraceSet read_csv(std::istream& in) {
-  TraceSet trace;
-  std::string line;
-  bool seen_header = false;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      const auto parts = split(line, ',');
-      if (parts[0] == "#window" && parts.size() == 3) {
-        trace.set_window(std::stod(parts[1]), std::stod(parts[2]));
-      } else if (parts[0] == "#truth" && parts.size() == 3) {
-        trace.set_truth(simnet::Ipv4::parse(parts[1]), host_kind_from_string(parts[2]));
-      } else {
-        throw util::ParseError("bad comment line " + std::to_string(lineno));
-      }
-      continue;
-    }
-    if (!seen_header) {
-      if (line != kCsvHeader) throw util::ParseError("missing CSV header");
-      seen_header = true;
-      continue;
-    }
-    const auto f = split(line, ',');
-    if (f.size() != 13) throw util::ParseError("bad field count on line " + std::to_string(lineno));
-    FlowRecord r;
-    r.src = simnet::Ipv4::parse(f[0]);
-    r.dst = simnet::Ipv4::parse(f[1]);
-    r.sport = static_cast<std::uint16_t>(std::stoul(f[2]));
-    r.dport = static_cast<std::uint16_t>(std::stoul(f[3]));
-    r.proto = protocol_from_string(f[4]);
-    r.start_time = std::stod(f[5]);
-    r.end_time = std::stod(f[6]);
-    r.pkts_src = std::stoull(f[7]);
-    r.pkts_dst = std::stoull(f[8]);
-    r.bytes_src = std::stoull(f[9]);
-    r.bytes_dst = std::stoull(f[10]);
-    r.state = flow_state_from_string(f[11]);
-    const std::string& hex = f[12];
-    if (hex.size() % 2 != 0 || hex.size() / 2 > kPayloadPrefixLen)
-      throw util::ParseError("bad payload hex");
-    r.payload_len = static_cast<std::uint8_t>(hex.size() / 2);
-    for (std::size_t i = 0; i < r.payload_len; ++i) {
-      r.payload[i] = static_cast<unsigned char>((hex_nibble(hex[2 * i]) << 4) |
-                                                hex_nibble(hex[2 * i + 1]));
-    }
-    trace.add_flow(std::move(r));
-  }
-  if (!seen_header) throw util::ParseError("empty CSV trace");
-  return trace;
-}
-
-constexpr std::uint32_t kBinMagic = 0x54504654;
-
-template <typename T>
-T get(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  if (!in) throw util::IoError("binary trace: short read");
-  return value;
-}
-
-TraceSet read_binary(std::istream& in) {
-  if (get<std::uint32_t>(in) != kBinMagic) throw util::ParseError("binary trace: bad magic");
-  if (get<std::uint32_t>(in) != 1) throw util::ParseError("binary trace: bad version");
-  TraceSet trace;
-  const double ws = get<double>(in);
-  const double we = get<double>(in);
-  trace.set_window(ws, we);
-  const auto truth_count = get<std::uint64_t>(in);
-  for (std::uint64_t i = 0; i < truth_count; ++i) {
-    const auto ip = simnet::Ipv4(get<std::uint32_t>(in));
-    trace.set_truth(ip, static_cast<HostKind>(get<std::uint8_t>(in)));
-  }
-  const auto flow_count = get<std::uint64_t>(in);
-  for (std::uint64_t i = 0; i < flow_count; ++i) {
-    FlowRecord r;
-    r.src = simnet::Ipv4(get<std::uint32_t>(in));
-    r.dst = simnet::Ipv4(get<std::uint32_t>(in));
-    r.sport = get<std::uint16_t>(in);
-    r.dport = get<std::uint16_t>(in);
-    r.proto = static_cast<Protocol>(get<std::uint8_t>(in));
-    r.start_time = get<double>(in);
-    r.end_time = get<double>(in);
-    r.pkts_src = get<std::uint64_t>(in);
-    r.pkts_dst = get<std::uint64_t>(in);
-    r.bytes_src = get<std::uint64_t>(in);
-    r.bytes_dst = get<std::uint64_t>(in);
-    r.state = static_cast<FlowState>(get<std::uint8_t>(in));
-    r.payload_len = get<std::uint8_t>(in);
-    in.read(reinterpret_cast<char*>(r.payload.data()), r.payload_len);
-    if (!in) throw util::IoError("binary trace: short payload read");
-    trace.add_flow(std::move(r));
-  }
-  return trace;
-}
-
-TraceSet read_csv_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return read_csv(in);
-}
-
-TraceSet read_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return read_binary(in);
-}
-
-}  // namespace legacy
 
 namespace {
 
@@ -230,28 +84,6 @@ bool traces_equal(const netflow::TraceSet& a, const netflow::TraceSet& b) {
   for (const auto& [ip, kind] : a.truth())
     if (b.kind_of(ip) != kind) return false;
   return true;
-}
-
-struct Timed {
-  netflow::TraceSet trace;
-  double seconds = 0.0;
-};
-
-Timed time_reader(const std::function<netflow::TraceSet()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  Timed out{fn(), 0.0};
-  const auto t1 = std::chrono::steady_clock::now();
-  out.seconds = std::chrono::duration<double>(t1 - t0).count();
-  return out;
-}
-
-void report(const char* format, std::size_t flows, const Timed& before, const Timed& after) {
-  const double mflows_before = static_cast<double>(flows) / before.seconds / 1e6;
-  const double mflows_after = static_cast<double>(flows) / after.seconds / 1e6;
-  std::printf("  %-6s  legacy %7.2f s (%6.2f Mflows/s)   current %7.2f s (%6.2f Mflows/s)   "
-              "speedup %5.2fx\n",
-              format, before.seconds, mflows_before, after.seconds, mflows_after,
-              before.seconds / after.seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,6 +142,27 @@ double time_scan(std::size_t reps, const ScanAggregates& expect, ScanFn scan, bo
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// Passes per timed ingest figure; the report gives their median.
+constexpr std::size_t kReps = 5;
+
+/// Times kReps calls of `run` and returns the median wall time in ns per
+/// flow. Each result is checked with `check` after its clock stops; a
+/// failed check clears `ok`.
+template <typename RunFn, typename CheckFn>
+double median_ns_per_flow(std::size_t flows, RunFn run, CheckFn check, bool& ok) {
+  std::vector<double> ns;
+  for (std::size_t i = 0; i < kReps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto out = run();
+    const auto t1 = std::chrono::steady_clock::now();
+    if (!check(out)) ok = false;
+    ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                 static_cast<double>(std::max<std::size_t>(flows, 1)));
+  }
+  std::sort(ns.begin(), ns.end());
+  return ns[kReps / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -342,35 +195,76 @@ int main(int argc, char** argv) {
   const auto dir = std::filesystem::temp_directory_path();
   const std::string csv_path = (dir / "tp_bench_io.csv").string();
   const std::string bin_path = (dir / "tp_bench_io.bin").string();
+  const std::string cbin_path = (dir / "tp_bench_io.cbin").string();
 
   std::printf("  generating synthetic trace...\n");
   const netflow::TraceSet trace = synthetic_trace(flows, 20100621);
   netflow::write_csv_file(csv_path, trace);
   netflow::write_binary_file(bin_path, trace);
-  std::printf("  csv %.1f MiB, bin %.1f MiB\n\n",
-              static_cast<double>(std::filesystem::file_size(csv_path)) / (1 << 20),
-              static_cast<double>(std::filesystem::file_size(bin_path)) / (1 << 20));
+  netflow::write_binary_columnar_file(cbin_path, trace);
+  const auto mib = [](const std::string& path) {
+    return static_cast<double>(std::filesystem::file_size(path)) / (1 << 20);
+  };
+  std::printf("  csv %.1f MiB, binary v1 %.1f MiB, binary v3 %.1f MiB; median of %zu passes\n\n",
+              mib(csv_path), mib(bin_path), mib(cbin_path), kReps);
 
-  const Timed csv_before = time_reader([&] { return legacy::read_csv_file(csv_path); });
-  const Timed csv_after = time_reader([&] { return netflow::read_csv_file(csv_path); });
-  report("csv", flows, csv_before, csv_after);
-
-  const Timed bin_before = time_reader([&] { return legacy::read_binary_file(bin_path); });
-  const Timed bin_after = time_reader([&] { return netflow::read_binary_file(bin_path); });
-  report("binary", flows, bin_before, bin_after);
-
-  const bool decoded_ok =
-      traces_equal(trace, csv_before.trace) && traces_equal(trace, csv_after.trace) &&
-      traces_equal(trace, bin_before.trace) && traces_equal(trace, bin_after.trace);
-  std::printf("\n  all four decoded traces identical to the generated one: %s\n",
+  // Per-format ingest profile. The counter aggregates of a next_batch()
+  // drain keep every decoded column observable, so nothing is optimized away.
+  const ScanAggregates expect = scan_records(trace);
+  struct FormatTimes {
+    const char* format;
+    std::string path;
+    double read_all_ns = 0.0;
+    double next_batch_ns = 0.0;
+    double skip_flows_ns = 0.0;  // CSV only
+  };
+  std::vector<FormatTimes> formats = {
+      {"csv", csv_path}, {"binary_v1", bin_path}, {"binary_v3", cbin_path}};
+  bool decoded_ok = true, drains_agree = true, skips_complete = true;
+  for (FormatTimes& f : formats) {
+    const bool csv = f.path == csv_path;
+    f.read_all_ns = median_ns_per_flow(
+        flows,
+        [&] { return csv ? netflow::read_csv_file(f.path) : netflow::read_binary_file(f.path); },
+        [&](const netflow::TraceSet& got) { return traces_equal(trace, got); }, decoded_ok);
+    f.next_batch_ns = median_ns_per_flow(
+        flows,
+        [&] {
+          netflow::TraceReader reader(f.path);
+          ScanAggregates a;
+          netflow::FlowBatch batch;
+          while (reader.next_batch(batch) > 0) {
+            a.bytes += batch.total_bytes();
+            a.pkts += batch.total_pkts();
+            a.failed += batch.failed_count();
+          }
+          return a;
+        },
+        [&](const ScanAggregates& got) { return got == expect; }, drains_agree);
+    if (csv) {
+      f.skip_flows_ns = median_ns_per_flow(
+          flows,
+          [&] {
+            netflow::TraceReader reader(f.path);
+            return reader.skip_flows(flows + 1);
+          },
+          [&](std::size_t skipped) { return skipped == flows; }, skips_complete);
+    }
+    std::printf("  %-9s  read_all %7.1f ns/flow   next_batch %7.1f ns/flow", f.format,
+                f.read_all_ns, f.next_batch_ns);
+    if (csv) std::printf("   skip_flows %7.1f ns/flow", f.skip_flows_ns);
+    std::printf("\n");
+  }
+  std::printf("\n  read_all traces identical to the generated one: %s\n",
               decoded_ok ? "PASS" : "FAIL");
+  std::printf("  next_batch aggregates identical: %s; skip_flows skipped every flow: %s\n",
+              drains_agree ? "PASS" : "FAIL", skips_complete ? "PASS" : "FAIL");
 
   // Feature-scan profile: counter reductions over the in-memory trace. The
   // same rows are held both ways (AoS record vector / SoA batches); each
   // pass computes identical aggregates, so the speedup is pure memory
   // layout + SIMD.
   const std::vector<netflow::FlowBatch> batches = to_batches(trace);
-  const ScanAggregates expect = scan_records(trace);
   // Enough repetitions for a stable measurement regardless of trace size
   // (~20M rows scanned per side).
   const std::size_t reps = std::max<std::size_t>(4, 20'000'000 / std::max<std::size_t>(flows, 1));
@@ -382,44 +276,7 @@ int main(int argc, char** argv) {
               "aggregates %s\n",
               reps, aos_s, col_s, scan_speedup, scans_agree ? "identical" : "DIVERGED");
 
-  // Columnar binary (v3) decode profile: drain the trace from disk through
-  // TraceReader computing the same aggregates — record-at-a-time next()
-  // over the v1 file vs. next_batch() over the v3 file.
-  const std::string cbin_path = (dir / "tp_bench_io.cbin").string();
-  netflow::write_binary_columnar_file(cbin_path, trace);
-  std::printf("  cbin %.1f MiB (columnar v3)\n",
-              static_cast<double>(std::filesystem::file_size(cbin_path)) / (1 << 20));
-  bool drains_agree = true;
-  const double v1_drain_s = time_scan(1, expect, [&] {
-    netflow::TraceReader reader(bin_path);
-    ScanAggregates a;
-    netflow::FlowRecord r;
-    while (reader.next(r)) {
-      a.bytes += r.bytes_src + r.bytes_dst;
-      a.pkts += r.pkts_src + r.pkts_dst;
-      a.failed += r.failed() ? 1 : 0;
-    }
-    return a;
-  }, drains_agree);
-  const double v3_drain_s = time_scan(1, expect, [&] {
-    netflow::TraceReader reader(cbin_path);
-    ScanAggregates a;
-    netflow::FlowBatch batch;
-    while (reader.next_batch(batch) > 0) {
-      a.bytes += batch.total_bytes();
-      a.pkts += batch.total_pkts();
-      a.failed += batch.failed_count();
-    }
-    return a;
-  }, drains_agree);
-  const bool columnar_decoded_ok = traces_equal(trace, netflow::read_binary_file(cbin_path));
-  std::printf("  binary drain: v1 next() %7.3f s   v3 next_batch() %7.3f s   speedup %5.2fx   "
-              "aggregates %s, v3 read_all %s\n",
-              v1_drain_s, v3_drain_s, v1_drain_s / v3_drain_s,
-              drains_agree ? "identical" : "DIVERGED",
-              columnar_decoded_ok ? "identical" : "DIVERGED");
-
-  const bool ok = decoded_ok && scans_agree && drains_agree && columnar_decoded_ok;
+  const bool ok = decoded_ok && drains_agree && skips_complete && scans_agree;
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -427,9 +284,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_io: cannot write JSON to %s\n", json_path.c_str());
       return 1;
     }
-    const auto mflows = [flows](const Timed& t) {
-      return static_cast<double>(flows) / t.seconds / 1e6;
-    };
     util::JsonWriter w(out);
     w.begin_object();
     w.kv("bench", "bench_io");
@@ -440,28 +294,26 @@ int main(int argc, char** argv) {
     } else {
       w.null();
     }
+    w.kv("passes_per_figure", static_cast<std::uint64_t>(kReps));
     w.key("formats");
     w.begin_array();
-    const auto format_entry = [&](const char* format, const Timed& before,
-                                  const Timed& after) {
+    for (const FormatTimes& f : formats) {
       w.begin_object();
-      w.kv("format", format);
-      w.key("legacy_s");
-      w.number(before.seconds, "%.3f");
-      w.key("current_s");
-      w.number(after.seconds, "%.3f");
-      w.key("legacy_mflows_per_s");
-      w.number(mflows(before), "%.3f");
-      w.key("current_mflows_per_s");
-      w.number(mflows(after), "%.3f");
-      w.key("speedup_vs_legacy");
-      w.number(before.seconds / after.seconds, "%.3f");
+      w.kv("format", f.format);
+      w.key("read_all_ns_per_flow");
+      w.number(f.read_all_ns, "%.1f");
+      w.key("next_batch_ns_per_flow");
+      w.number(f.next_batch_ns, "%.1f");
+      if (f.path == csv_path) {
+        w.key("skip_flows_ns_per_flow");
+        w.number(f.skip_flows_ns, "%.1f");
+      }
       w.end_object();
-    };
-    format_entry("csv", csv_before, csv_after);
-    format_entry("binary", bin_before, bin_after);
+    }
     w.end_array();
     w.kv("decoded_traces_identical", decoded_ok);
+    w.kv("next_batch_aggregates_identical", drains_agree);
+    w.kv("skip_flows_complete", skips_complete);
     w.key("feature_scan");
     w.begin_object();
     w.kv("reps", static_cast<std::uint64_t>(reps));
@@ -472,17 +324,6 @@ int main(int argc, char** argv) {
     w.key("speedup_columnar_vs_aos");
     w.number(scan_speedup, "%.3f");
     w.kv("aggregates_identical", scans_agree);
-    w.end_object();
-    w.key("columnar_binary");
-    w.begin_object();
-    w.key("v1_next_s");
-    w.number(v1_drain_s, "%.4f");
-    w.key("v3_next_batch_s");
-    w.number(v3_drain_s, "%.4f");
-    w.key("speedup_v3_vs_v1");
-    w.number(v1_drain_s / v3_drain_s, "%.3f");
-    w.kv("aggregates_identical", drains_agree);
-    w.kv("decoded_trace_identical", columnar_decoded_ok);
     w.end_object();
     w.end_object();
     out << "\n";

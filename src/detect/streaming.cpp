@@ -104,18 +104,9 @@ void StreamingDetector::observe_ingest(std::size_t flows) {
 }
 
 void StreamingDetector::ingest(const netflow::FlowRecord& flow) {
-  advance_to(flow.start_time);
-  if (config_.is_internal(flow.src)) {
-    accumulators_[ring_.shard_of(flow.src)].apply_initiator(
-        flow.src, flow.dst, flow.start_time, flow.bytes_src, flow.failed(), shard_budget_);
-  }
-  if (config_.is_internal(flow.dst) && !flow.failed()) {
-    accumulators_[ring_.shard_of(flow.dst)].apply_responder(flow.dst, flow.start_time,
-                                                            flow.bytes_dst);
-  }
-  ++flows_in_window_;
-  ++flows_ingested_total_;
-  observe_ingest(1);
+  netflow::FlowBatch one(1);
+  one.push_back(flow);
+  ingest(one);
 }
 
 void StreamingDetector::ingest(const netflow::FlowBatch& batch) {

@@ -1,10 +1,11 @@
 // Streaming detection: FindPlotters as an online monitor.
 //
 // The paper's vantage point is a border monitor ingesting flow records
-// continuously. StreamingDetector accepts flows one at a time or in columnar
-// batches (in rough time order), maintains per-host state incrementally,
-// and emits a full FindPlotters result at each detection-window boundary
-// (the paper's window D, one day by default), then rolls the window forward.
+// continuously. StreamingDetector accepts flows in columnar batches (in
+// rough time order; a single FlowRecord is ingested as a one-row batch),
+// maintains per-host state incrementally, and emits a full FindPlotters
+// result at each detection-window boundary (the paper's window D, one day by
+// default), then rolls the window forward.
 //
 // Memory is bounded by the flows of the current window: all per-host state
 // is dropped when the window rolls. Flow ingestion is O(1) amortised per
@@ -103,20 +104,20 @@ class StreamingDetector {
   /// is_internal or a sink, or has a non-positive window.
   StreamingDetector(StreamingConfig config, VerdictSink sink);
 
-  /// Ingests one flow. Flows may arrive slightly out of order *within* a
-  /// window; a flow stamped before the current window start is counted
-  /// into the current window (late arrival) rather than rejected. A flow
-  /// past the current window boundary first closes the window (emitting a
-  /// verdict) — possibly several empty windows in a row for long gaps.
-  void ingest(const netflow::FlowRecord& flow);
-
-  /// Ingests a columnar batch (equivalent to ingesting batch.record(i) for
-  /// each row, in order — windows roll mid-batch exactly where they would
-  /// record-at-a-time, so verdicts are bit-identical). The range overload
+  /// Ingests a columnar batch, row by row in order. Flows may arrive
+  /// slightly out of order *within* a window; a flow stamped before the
+  /// current window start is counted into the current window (late arrival)
+  /// rather than rejected. A flow past the current window boundary first
+  /// closes the window (emitting a verdict) — possibly several empty windows
+  /// in a row for long gaps — so windows roll mid-batch and verdicts do not
+  /// depend on how the flows were cut into batches. The range overload
   /// ingests rows [begin, end), letting callers split a batch at a
   /// checkpoint boundary.
   void ingest(const netflow::FlowBatch& batch);
   void ingest(const netflow::FlowBatch& batch, std::size_t begin, std::size_t end);
+
+  /// Ingests one flow as a one-row batch.
+  void ingest(const netflow::FlowRecord& flow);
 
   /// Closes the current window and emits its verdict (e.g. at shutdown).
   /// A no-op when no window was ever opened (no flows ingested) or when the
@@ -189,8 +190,8 @@ class StreamingDetector {
   std::uint64_t flows_ingested_total_ = 0;
 };
 
-/// Drains `reader` into `detector` one flow at a time and flushes the final
-/// window at end-of-trace. Returns the number of flows fed. Combined with
+/// Drains `reader` into `detector` one next_batch() at a time and flushes
+/// the final window at end-of-trace. Returns the number of flows fed. Combined with
 /// TraceReader this is the bounded-memory ingestion path: the trace is never
 /// materialized, so memory stays proportional to one detection window.
 std::size_t feed(netflow::TraceReader& reader, StreamingDetector& detector);

@@ -12,14 +12,14 @@
 // The record-oriented API survives as views: FlowRecordView is a zero-cost
 // (pointer + index) accessor that mirrors FlowRecord's interface over one
 // row, and record(i) materializes a full FlowRecord when a copy is needed.
-// TraceReader::next_batch() decodes CSV/binary input straight into the
-// columns; the binary v3 trace format (see io.h) stores these columns as
-// contiguous fixed-stride blocks so a block read is a handful of
+// Every TraceReader decoder fills FlowBatches in place; the binary v3 trace
+// format (see io.h) stores these columns as contiguous fixed-stride blocks
+// of at most kDefaultCapacity rows, so a block read is a handful of
 // memcpy-sized reads.
 //
-// Capacity is a soft bound: push_back past capacity() grows the columns
-// (decoders use full() to stop at the configured batch size, but a binary v3
-// block larger than the batch is still delivered whole).
+// Capacity is a soft bound: push_back past capacity() grows the columns.
+// Decoders fill at most capacity() rows per call, except that a binary v3
+// block is never split.
 #pragma once
 
 #include <cstddef>

@@ -9,8 +9,8 @@
 //
 // The readers here are batch conveniences: they drain a streaming
 // netflow::TraceReader (see trace_reader.h) into a TraceSet. Callers that
-// ingest large traces should prefer TraceReader directly — it yields one
-// FlowRecord at a time in bounded memory.
+// ingest large traces should prefer TraceReader directly — its next_batch()
+// yields columnar FlowBatches in bounded memory.
 #pragma once
 
 #include <iosfwd>
@@ -30,11 +30,12 @@ void write_csv_file(const std::string& path, const TraceSet& trace);
 [[nodiscard]] TraceSet read_csv_file(const std::string& path);
 
 /// Binary round-trip (same error contract). write_binary emits the v1
-/// record-oriented format; write_binary_columnar emits v3 column blocks
-/// (same preamble, then fixed-stride per-column arrays — the layout
-/// TraceReader::next_batch decodes with a handful of bulk reads, and that a
-/// future mmap reader can map in place). Both read back through the same
-/// entry points: TraceReader dispatches on the version tag.
+/// record-oriented format; write_binary_columnar emits v3 column blocks of
+/// at most FlowBatch::kDefaultCapacity rows (same preamble, then
+/// fixed-stride per-column arrays — the layout TraceReader::next_batch
+/// decodes with a handful of bulk reads, and that a future mmap reader can
+/// map in place). Both read back through the same entry points:
+/// TraceReader dispatches on the version tag.
 void write_binary(std::ostream& out, const TraceSet& trace);
 void write_binary_file(const std::string& path, const TraceSet& trace);
 void write_binary_columnar(std::ostream& out, const TraceSet& trace);

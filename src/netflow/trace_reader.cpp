@@ -3,20 +3,18 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <chrono>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <istream>
 #include <limits>
-#include <mutex>
-#include <type_traits>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "util/error.h"
-#include "util/parallel.h"
 #include "util/fd_stream.h"
 #include "util/stream_retry.h"
 
@@ -181,11 +179,10 @@ T take(const char*& p) {
   return value;
 }
 
-/// One decode destination for the fused CSV parser: references to each flow
-/// field, wherever they live. The same parser body fills an AoS FlowRecord
-/// (refs into one struct) or one FlowBatch row (refs into thirteen columns),
-/// so the two decode paths cannot drift. `payload` must point at a
-/// kPayloadPrefixLen slot already zeroed past whatever the parser writes.
+/// One decode destination: references to each flow field of one FlowBatch
+/// row. The CSV fast and slow paths and the v1 decoder all write through it.
+/// `payload` must point at a kPayloadPrefixLen slot already zeroed past
+/// whatever the decoder writes.
 struct FlowFieldRefs {
   simnet::Ipv4& src;
   simnet::Ipv4& dst;
@@ -202,12 +199,6 @@ struct FlowFieldRefs {
   unsigned char* payload;
   std::uint8_t& payload_len;
 };
-
-FlowFieldRefs record_refs(FlowRecord& r) {
-  return {r.src,      r.dst,      r.sport,     r.dport,     r.proto,
-          r.start_time, r.end_time, r.pkts_src, r.pkts_dst, r.bytes_src,
-          r.bytes_dst, r.state,    r.payload.data(), r.payload_len};
-}
 
 FlowFieldRefs batch_row_refs(FlowBatch& b, std::size_t i) {
   return {b.src()[i],      b.dst()[i],      b.sport()[i],    b.dport()[i],
@@ -310,7 +301,7 @@ bool parse_flow_line_fast(std::string_view line, FlowFieldRefs out) noexcept {
 /// diagnostics ("bad field count on line N", "line N: bad sport '…'", …) —
 /// or to accept the rare shapes the fast path conservatively refuses (e.g.
 /// 20-digit counters that still fit in uint64).
-void parse_flow_line_slow(std::string_view line, std::size_t lineno, FlowRecord& out) {
+void parse_flow_line_slow(std::string_view line, std::size_t lineno, FlowFieldRefs out) {
   std::array<std::string_view, 13> f;
   if (split_fields(line, ',', f.data(), f.size()) != f.size())
     throw util::ParseError("bad field count on line " + std::to_string(lineno));
@@ -343,14 +334,6 @@ void parse_flow_line_slow(std::string_view line, std::size_t lineno, FlowRecord&
       throw util::ParseError("line " + std::to_string(lineno) + ": bad hex digit");
     out.payload[i] = static_cast<unsigned char>(value);
   }
-}
-
-/// Decodes one CSV flow line into `out`. Pure (no shared state), so the
-/// batch drain can run it across threads. `out.payload` must be zeroed past
-/// whatever this writes — callers pass a fresh or reset record.
-void parse_flow_line(std::string_view line, std::size_t lineno, FlowRecord& out) {
-  if (parse_flow_line_fast(line, record_refs(out))) return;
-  parse_flow_line_slow(line, lineno, out);
 }
 
 }  // namespace
@@ -415,27 +398,6 @@ class TraceReader::Source {
   std::string_view peek(std::size_t n) {
     while (end_ - pos_ < n && !eof_) refill();
     return {buf_.data() + pos_, std::min(n, end_ - pos_)};
-  }
-
-  /// Appends everything left (buffered bytes, then the rest of the stream)
-  /// to `out`. Used by the batch drain, which materializes the remainder to
-  /// decode it in parallel.
-  void drain(std::string& out) {
-    out.append(buf_.data() + pos_, end_ - pos_);
-    pos_ = end_;
-    while (!eof_) {
-      // The buffer is fully consumed, so reuse it as the read scratch.
-      // read_retry survives EINTR (a signal landing mid-read must not
-      // truncate the trace) and accumulates short reads.
-      const std::size_t got = util::read_retry(in_, buf_.data(), buf_.size());
-      if (got == 0) {
-        eof_ = true;
-        break;
-      }
-      if (got < buf_.size()) eof_ = true;
-      if (obs::enabled()) IngestObs::get().bytes.add(got);
-      out.append(buf_.data(), got);
-    }
   }
 
  private:
@@ -580,8 +542,9 @@ void TraceReader::read_binary_preamble() {
   src_->read_exact(&window_start_, sizeof(window_start_), "short read");
   src_->read_exact(&window_end_, sizeof(window_end_), "short read");
   std::uint64_t truth_count = 0;
+  // No reserve from truth_count: it is untrusted until the entries have
+  // actually been read.
   src_->read_exact(&truth_count, sizeof(truth_count), "short read");
-  truth_.reserve(truth_count);
   for (std::uint64_t i = 0; i < truth_count; ++i) {
     // One truth entry on the wire: u32 address, u8 HostKind.
     std::array<char, sizeof(std::uint32_t) + 1> raw;
@@ -597,48 +560,8 @@ void TraceReader::read_binary_preamble() {
 }
 
 // ---------------------------------------------------------------------------
-// Flow pulling.
-
-bool TraceReader::next(FlowRecord& out) {
-  if (done_) return false;
-  const auto pull = [&] {
-    if (format_ != TraceFormat::kBinary) return next_csv(out);
-    return bin_version_ == kBinVersionColumnar ? next_columnar(out) : next_binary(out);
-  };
-  bool got;
-  if (obs::enabled()) {
-    IngestObs& o = IngestObs::get();
-    const std::size_t quarantined_before = stats_.records_quarantined;
-    const std::size_t resyncs_before = stats_.resync_events;
-    const auto start = std::chrono::steady_clock::now();
-    got = pull();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    o.record_seconds.observe(std::chrono::duration<double>(elapsed).count());
-    if (got) o.records_ok.add();
-    o.records_quarantined.add(stats_.records_quarantined - quarantined_before);
-    o.resync_events.add(stats_.resync_events - resyncs_before);
-  } else {
-    got = pull();
-  }
-  if (got) {
-    ++flows_read_;
-    ++stats_.records_ok;
-    // Columnar staging settles resync-run state at block decode time (in
-    // stream order); serving a staged row later must not clobber it, or a
-    // quarantine run spanning a block boundary would double-count.
-    if (staged_ == nullptr) in_bad_run_ = false;
-  } else {
-    done_ = true;
-  }
-  return got;
-}
-
-std::size_t TraceReader::skip_flows(std::size_t n) {
-  FlowRecord scratch;
-  std::size_t skipped = 0;
-  while (skipped < n && next(scratch)) ++skipped;
-  return skipped;
-}
+// Flow pulling. Every entry point is a loop over decode(), which runs the
+// format's one decoder into a FlowBatch.
 
 void TraceReader::quarantine(std::size_t record) {
   if (policy_.action == OnError::kStrict) throw;
@@ -660,32 +583,88 @@ void TraceReader::quarantine(std::size_t record) {
   }
 }
 
-bool TraceReader::next_csv(FlowRecord& out) {
-  std::string_view line;
-  while (src_->next_line(line)) {
-    ++lineno_;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      try {
-        parse_csv_comment(line);
-      } catch (...) {
-        quarantine(lineno_);  // rethrows under kStrict / exhausted kStopAfter
+void TraceReader::decode(FlowBatch& out) {
+  if (done_) return;
+  const auto fill = [&] {
+    if (format_ != TraceFormat::kBinary) {
+      decode_csv(out);
+    } else if (bin_version_ == kBinVersionColumnar) {
+      // A block can be quarantined away entirely; keep reading until rows
+      // survive or the stream ends (an empty batch means end-of-trace).
+      while (out.empty() && read_columnar_block(out)) {
       }
-      continue;
+    } else {
+      decode_binary(out);
     }
-    out = FlowRecord{};
+  };
+  if (obs::enabled()) {
+    IngestObs& o = IngestObs::get();
+    const std::size_t ok_before = stats_.records_ok;
+    const std::size_t quarantined_before = stats_.records_quarantined;
+    const std::size_t resyncs_before = stats_.resync_events;
+    const auto settle = [&] {
+      o.records_ok.add(stats_.records_ok - ok_before);
+      o.records_quarantined.add(stats_.records_quarantined - quarantined_before);
+      o.resync_events.add(stats_.resync_events - resyncs_before);
+    };
     try {
-      parse_flow_line(line, lineno_, out);
+      fill();
     } catch (...) {
-      quarantine(lineno_);
-      continue;  // resync: the line boundary was already consumed
+      settle();  // rows decoded before the fault are already in stats_
+      throw;
     }
-    return true;
+    settle();
+  } else {
+    fill();
   }
-  return false;
+  if (out.empty()) done_ = true;
 }
 
-bool TraceReader::next_binary(FlowRecord& out) {
+void TraceReader::decode_csv(FlowBatch& out) {
+  // Size the batch once and decode row k in place; the rows past the last
+  // one decoded are cut away on every exit, a thrown fault included.
+  const std::size_t capacity = out.capacity();
+  out.append_default(capacity);
+  std::size_t k = 0;
+  try {
+    std::string_view line;
+    while (k < capacity && src_->next_line(line)) {
+      ++lineno_;
+      if (line.empty()) continue;
+      if (line[0] == '#') {
+        try {
+          parse_csv_comment(line);
+        } catch (...) {
+          quarantine(lineno_);  // rethrows under kStrict / exhausted kStopAfter
+        }
+        continue;
+      }
+      const FlowFieldRefs row = batch_row_refs(out, k);
+      if (!parse_flow_line_fast(line, row)) {
+        // The fast path may have half-written the payload slot. Re-zero it,
+        // then let the reference decoder either accept the rare shapes the
+        // fast path refuses or throw the pinned per-line diagnostic.
+        std::memset(row.payload, 0, kPayloadPrefixLen);
+        try {
+          parse_flow_line_slow(line, lineno_, row);
+        } catch (...) {
+          std::memset(row.payload, 0, kPayloadPrefixLen);  // row k is reused
+          quarantine(lineno_);
+          continue;  // resync: the line boundary was already consumed
+        }
+      }
+      ++k;
+      ++stats_.records_ok;
+      in_bad_run_ = false;
+    }
+  } catch (...) {
+    out.truncate(k);
+    throw;
+  }
+  out.truncate(k);
+}
+
+void TraceReader::decode_binary(FlowBatch& out) {
   // The fixed-size part of one record on the wire (fields are written
   // individually, so the layout is packed, independent of FlowRecord's
   // in-memory padding).
@@ -701,71 +680,72 @@ bool TraceReader::next_binary(FlowRecord& out) {
     records_consumed_ = flow_count_;
   };
 
-  while (records_consumed_ < flow_count_) {
-    ++records_consumed_;
-    const auto ordinal = static_cast<std::size_t>(records_consumed_);
-    std::array<char, kFixedBytes> raw;
-    try {
-      src_->read_exact(raw.data(), raw.size(), "short read");
-    } catch (...) {
-      lose_sync(ordinal);
-      return false;
-    }
-    const char* p = raw.data();
-    out = FlowRecord{};
-    out.src = simnet::Ipv4(take<std::uint32_t>(p));
-    out.dst = simnet::Ipv4(take<std::uint32_t>(p));
-    out.sport = take<std::uint16_t>(p);
-    out.dport = take<std::uint16_t>(p);
-    const auto proto_byte = take<std::uint8_t>(p);
-    out.start_time = take<double>(p);
-    out.end_time = take<double>(p);
-    out.pkts_src = take<std::uint64_t>(p);
-    out.pkts_dst = take<std::uint64_t>(p);
-    out.bytes_src = take<std::uint64_t>(p);
-    out.bytes_dst = take<std::uint64_t>(p);
-    const auto state_byte = take<std::uint8_t>(p);
-    out.payload_len = take<std::uint8_t>(p);
-    if (out.payload_len > kPayloadPrefixLen) {
+  // Same shape as decode_csv: size once, decode row k in place, cut back.
+  const std::size_t capacity = out.capacity();
+  out.append_default(capacity);
+  std::size_t k = 0;
+  try {
+    while (k < capacity && records_consumed_ < flow_count_) {
+      ++records_consumed_;
+      const auto ordinal = static_cast<std::size_t>(records_consumed_);
+      std::array<char, kFixedBytes> raw;
       try {
-        throw util::ParseError("binary trace: bad payload len");
+        src_->read_exact(raw.data(), raw.size(), "short read");
       } catch (...) {
         lose_sync(ordinal);
+        break;
       }
-      return false;
+      const char* p = raw.data();
+      const FlowFieldRefs row = batch_row_refs(out, k);
+      row.src = simnet::Ipv4(take<std::uint32_t>(p));
+      row.dst = simnet::Ipv4(take<std::uint32_t>(p));
+      row.sport = take<std::uint16_t>(p);
+      row.dport = take<std::uint16_t>(p);
+      const auto proto_byte = take<std::uint8_t>(p);
+      row.start_time = take<double>(p);
+      row.end_time = take<double>(p);
+      row.pkts_src = take<std::uint64_t>(p);
+      row.pkts_dst = take<std::uint64_t>(p);
+      row.bytes_src = take<std::uint64_t>(p);
+      row.bytes_dst = take<std::uint64_t>(p);
+      const auto state_byte = take<std::uint8_t>(p);
+      row.payload_len = take<std::uint8_t>(p);
+      if (row.payload_len > kPayloadPrefixLen) {
+        try {
+          throw util::ParseError("binary trace: bad payload len");
+        } catch (...) {
+          lose_sync(ordinal);
+        }
+        break;
+      }
+      try {
+        src_->read_exact(row.payload, row.payload_len, "short payload read");
+      } catch (...) {
+        lose_sync(ordinal);
+        break;
+      }
+      // Value validation last: a bad proto/state byte or an inverted time
+      // pair leaves the record fully consumed (framing intact), so under a
+      // skip policy we quarantine just this record and continue.
+      try {
+        row.proto = protocol_from_byte(proto_byte);
+        row.state = flow_state_from_byte(state_byte);
+        if (!(row.end_time >= row.start_time))
+          throw util::ParseError("binary trace: end_time precedes start_time");
+      } catch (...) {
+        std::memset(row.payload, 0, kPayloadPrefixLen);  // row k is reused
+        quarantine(ordinal);
+        continue;
+      }
+      ++k;
+      ++stats_.records_ok;
+      in_bad_run_ = false;
     }
-    try {
-      src_->read_exact(out.payload.data(), out.payload_len, "short payload read");
-    } catch (...) {
-      lose_sync(ordinal);
-      return false;
-    }
-    // Value validation last: a bad proto/state byte or an inverted time pair
-    // leaves the record fully consumed (framing intact), so under a skip
-    // policy we quarantine just this record and continue with the next one.
-    try {
-      out.proto = protocol_from_byte(proto_byte);
-      out.state = flow_state_from_byte(state_byte);
-      if (!(out.end_time >= out.start_time))
-        throw util::ParseError("binary trace: end_time precedes start_time");
-    } catch (...) {
-      quarantine(ordinal);
-      continue;
-    }
-    return true;
+  } catch (...) {
+    out.truncate(k);
+    throw;
   }
-  return false;
-}
-
-bool TraceReader::next_columnar(FlowRecord& out) {
-  if (staged_ == nullptr) staged_ = std::make_unique<FlowBatch>();
-  while (staged_pos_ >= staged_->size()) {
-    staged_->clear();
-    staged_pos_ = 0;
-    if (!read_columnar_block(*staged_)) return false;
-  }
-  out = staged_->record(staged_pos_++);
-  return true;
+  out.truncate(k);
 }
 
 bool TraceReader::read_columnar_block(FlowBatch& out) {
@@ -779,12 +759,15 @@ bool TraceReader::read_columnar_block(FlowBatch& out) {
     const auto base = static_cast<std::size_t>(records_consumed_);
 
     // Block framing: a u32 row count, then the column arrays. A count of
-    // zero or one past the declared remainder means the writer and reader
-    // disagree about the stream shape — there is no next boundary to trust.
+    // zero, past the writer's block size (FlowBatch::kDefaultCapacity), or
+    // past the declared remainder means the writer and reader disagree about
+    // the stream shape — there is no next boundary to trust. The size check
+    // comes before any allocation: the count is untrusted.
     std::uint32_t rows = 0;
     try {
       src_->read_exact(&rows, sizeof(rows), "short block header");
-      if (rows == 0 || rows > flow_count_ - records_consumed_)
+      if (rows == 0 || rows > FlowBatch::kDefaultCapacity ||
+          rows > flow_count_ - records_consumed_)
         throw util::ParseError("binary trace: bad block size");
     } catch (...) {
       lose_sync(base + 1);
@@ -816,9 +799,9 @@ bool TraceReader::read_columnar_block(FlowBatch& out) {
     records_consumed_ += n;
 
     // Per-row value validation, in stream order so resync-run accounting
-    // matches a record-at-a-time read. Unlike v1, a bad payload_len does
-    // not lose sync here: the payload column has a fixed stride, so framing
-    // survives and only the row is quarantined.
+    // matches the other decoders. Unlike v1, a bad payload_len does not lose
+    // sync here: the payload column has a fixed stride, so framing survives
+    // and only the row is quarantined.
     std::vector<std::uint32_t> bad;
     for (std::size_t i = 0; i < n; ++i) {
       try {
@@ -850,196 +833,89 @@ bool TraceReader::read_columnar_block(FlowBatch& out) {
         std::memset(out.payload(i) + len, 0, kPayloadPrefixLen - len);
     }
     out.erase_rows(bad);
+    stats_.records_ok += out.size();
     if (!out.empty()) return true;
     // Every row of this block was quarantined; try the next block.
   }
   return false;
 }
 
+void TraceReader::rethrow_pending() {
+  if (pending_) std::rethrow_exception(std::exchange(pending_, nullptr));
+}
+
+bool TraceReader::refill_cursor() {
+  if (cursor_ == nullptr) cursor_ = std::make_unique<FlowBatch>();
+  cursor_->clear();
+  cursor_pos_ = 0;
+  rethrow_pending();
+  try {
+    decode(*cursor_);
+  } catch (...) {
+    // Serve the rows decoded before the fault first: the fault surfaces
+    // after them, where a record-at-a-time read would have met it.
+    if (cursor_->empty()) throw;
+    pending_ = std::current_exception();
+  }
+  return !cursor_->empty();
+}
+
+bool TraceReader::next(FlowRecord& out) {
+  const auto pull = [&] {
+    if (unserved() == 0 && !refill_cursor()) return false;
+    out = cursor_->record(cursor_pos_++);
+    return true;
+  };
+  if (!obs::enabled()) return pull();
+  const obs::ScopedTimer timer(&IngestObs::get().record_seconds);
+  return pull();
+}
+
+std::size_t TraceReader::skip_flows(std::size_t n) {
+  std::size_t skipped = 0;
+  while (skipped < n) {
+    if (unserved() == 0 && !refill_cursor()) break;
+    const std::size_t take = std::min(n - skipped, unserved());
+    cursor_pos_ += take;
+    skipped += take;
+  }
+  return skipped;
+}
+
 std::size_t TraceReader::next_batch(FlowBatch& out) {
   out.clear();
-  if (done_) return 0;
-  const auto fill = [&] {
-    if (format_ != TraceFormat::kBinary) {
-      next_batch_csv(out);
-    } else if (bin_version_ == kBinVersionColumnar) {
-      next_batch_columnar(out);
-    } else {
-      next_batch_binary(out);
-    }
-  };
-  if (obs::enabled()) {
-    IngestObs& o = IngestObs::get();
-    const std::size_t ok_before = stats_.records_ok;
-    const std::size_t quarantined_before = stats_.records_quarantined;
-    const std::size_t resyncs_before = stats_.resync_events;
-    const auto settle = [&] {
-      o.records_ok.add(stats_.records_ok - ok_before);
-      o.records_quarantined.add(stats_.records_quarantined - quarantined_before);
-      o.resync_events.add(stats_.resync_events - resyncs_before);
-    };
-    const obs::StageTimer timer(obs::Stage::kBatchDecode);
-    try {
-      fill();
-    } catch (...) {
-      settle();  // rows decoded before the fault are already in stats_
-      throw;
-    }
-    if (!out.empty()) o.batches.add();
-    settle();
-  } else {
-    fill();
+  if (unserved() > 0) {
+    while (!out.full() && cursor_pos_ < cursor_->size())
+      out.push_back(cursor_->record(cursor_pos_++));
+    return out.size();
   }
-  if (out.empty()) done_ = true;
+  rethrow_pending();
+  if (!obs::enabled()) {
+    decode(out);
+    return out.size();
+  }
+  const obs::StageTimer timer(obs::Stage::kBatchDecode);
+  decode(out);
+  if (!out.empty()) IngestObs::get().batches.add();
   return out.size();
-}
-
-void TraceReader::next_batch_csv(FlowBatch& out) {
-  std::string_view line;
-  while (!out.full() && src_->next_line(line)) {
-    ++lineno_;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      try {
-        parse_csv_comment(line);
-      } catch (...) {
-        quarantine(lineno_);  // rethrows under kStrict / exhausted kStopAfter
-      }
-      continue;
-    }
-    const std::size_t row = out.append_default();
-    if (parse_flow_line_fast(line, batch_row_refs(out, row))) {
-      ++flows_read_;
-      ++stats_.records_ok;
-      in_bad_run_ = false;
-      continue;
-    }
-    // The fast path may have half-written the row; undo the append, then
-    // let the reference decoder either accept the rare shapes the fast path
-    // refuses or throw the pinned per-line diagnostic.
-    out.truncate(row);
-    FlowRecord scratch;
-    try {
-      parse_flow_line_slow(line, lineno_, scratch);
-    } catch (...) {
-      quarantine(lineno_);
-      continue;  // resync: the line boundary was already consumed
-    }
-    out.push_back(scratch);
-    ++flows_read_;
-    ++stats_.records_ok;
-    in_bad_run_ = false;
-  }
-}
-
-void TraceReader::next_batch_binary(FlowBatch& out) {
-  FlowRecord scratch;
-  while (!out.full() && next_binary(scratch)) {
-    out.push_back(scratch);
-    ++flows_read_;
-    ++stats_.records_ok;
-    in_bad_run_ = false;
-  }
-}
-
-void TraceReader::next_batch_columnar(FlowBatch& out) {
-  // Serve rows already staged by record-mode next() calls first, so mixed
-  // next()/next_batch() usage delivers every record exactly once.
-  if (staged_ != nullptr && staged_pos_ < staged_->size()) {
-    for (std::size_t i = staged_pos_; i < staged_->size(); ++i)
-      out.push_back(staged_->record(i));
-    staged_pos_ = staged_->size();
-  } else {
-    // A block can be quarantined away entirely; keep reading until rows
-    // survive or the stream ends (an empty batch means end-of-trace).
-    while (out.empty() && read_columnar_block(out)) {
-    }
-  }
-  flows_read_ += out.size();
-  stats_.records_ok += out.size();
 }
 
 TraceSet TraceReader::read_all() {
   TraceSet trace;
-  if (format_ == TraceFormat::kBinary) {
-    if (flow_count_ > flows_read_) trace.reserve_flows(flow_count_ - flows_read_);
-    FlowRecord rec;
-    while (next(rec)) trace.add_flow(rec);
-  } else if (policy_.action != OnError::kStrict) {
-    // Skip policies go through the serial next() path so that quarantine
-    // accounting (stats, resync runs, kStopAfter budgets) behaves exactly
-    // like pull-mode ingestion; the parallel drain below is strict-only.
-    FlowRecord rec;
-    while (next(rec)) trace.add_flow(rec);
-  } else {
-    read_all_csv(trace);
-  }
+  // A binary header's flow count sizes the TraceSet up front, so it is not
+  // copied at every doubling. The count is untrusted, so the reservation is
+  // capped: a hostile header can claim at most kMaxReservedFlows rows of
+  // untouched address space, and a longer real trace grows past it.
+  constexpr std::uint64_t kMaxReservedFlows = std::uint64_t{1024} * FlowBatch::kDefaultCapacity;
+  if (flow_count_ > flows_read())
+    trace.reserve_flows(static_cast<std::size_t>(
+        std::min<std::uint64_t>(flow_count_ - flows_read(), kMaxReservedFlows)));
+  FlowBatch batch;
+  while (next_batch(batch) > 0)
+    for (std::size_t i = 0; i < batch.size(); ++i) trace.add_flow(batch.record(i));
   trace.set_window(window_start_, window_end_);
   for (const auto& [ip, kind] : truth_) trace.set_truth(ip, kind);
   return trace;
-}
-
-void TraceReader::read_all_csv(TraceSet& trace) {
-  if (done_) return;
-  const obs::StageTimer parse_timer(obs::Stage::kParse);
-
-  // Materialize the remainder and index it: comment lines are applied
-  // serially in file order (so truth overrides behave sequentially), flow
-  // lines are recorded for the parallel pass. A malformed comment stops the
-  // scan — lines past it must not be decoded, exactly like a serial pass.
-  std::string blob;
-  src_->drain(blob);
-  std::vector<std::string_view> lines;
-  std::vector<std::size_t> linenos;
-  std::size_t err_line = static_cast<std::size_t>(-1);
-  std::exception_ptr err;
-  const char* p = blob.data();
-  const char* const blob_end = blob.data() + blob.size();
-  while (p != blob_end) {
-    const auto* nl = static_cast<const char*>(std::memchr(p, '\n', blob_end - p));
-    std::string_view line(p, nl != nullptr ? static_cast<std::size_t>(nl - p)
-                                           : static_cast<std::size_t>(blob_end - p));
-    p = nl != nullptr ? nl + 1 : blob_end;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    ++lineno_;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      try {
-        parse_csv_comment(line);
-      } catch (...) {
-        err_line = lineno_;
-        err = std::current_exception();
-        break;
-      }
-      continue;
-    }
-    lines.push_back(line);
-    linenos.push_back(lineno_);
-  }
-
-  // Decode into pre-sized slots: slot i holds line i regardless of thread
-  // schedule, so the flow order (and every byte) matches the serial read.
-  const std::size_t base = trace.flows().size();
-  trace.flows().resize(base + lines.size());
-  std::mutex err_mutex;
-  util::parallel_for(0, lines.size(), 4096, [&](std::size_t i) {
-    try {
-      parse_flow_line(lines[i], linenos[i], trace.flows()[base + i]);
-    } catch (...) {
-      // Don't let parallel_for rethrow an arbitrary chunk's exception; keep
-      // the earliest line's error so diagnostics match the serial reader.
-      const std::lock_guard<std::mutex> lock(err_mutex);
-      if (linenos[i] < err_line) {
-        err_line = linenos[i];
-        err = std::current_exception();
-      }
-    }
-  });
-  if (err) std::rethrow_exception(err);
-  flows_read_ += lines.size();
-  stats_.records_ok += lines.size();
-  if (obs::enabled()) IngestObs::get().records_ok.add(lines.size());
-  done_ = true;
 }
 
 }  // namespace tradeplot::netflow

@@ -3,11 +3,13 @@
 // TraceReader is the high-throughput counterpart to io.h's batch readers: it
 // opens a CSV or binary trace (auto-detecting the format by content unless
 // told otherwise), reads the preamble (window + ground-truth entries for the
-// binary format, everything up to the header row for CSV), and then yields
-// one FlowRecord per next() call. Memory use is bounded by one internal read
-// buffer (kBufferSize) regardless of trace size, so a border monitor can feed
-// detect::StreamingDetector from a multi-gigabyte trace without ever
-// materializing a TraceSet.
+// binary format, everything up to the header row for CSV), and then decodes
+// the flows into columnar FlowBatches. Each format has exactly one decoder,
+// and it fills a FlowBatch in place; next() (one FlowRecord per call),
+// skip_flows() and read_all() are loops over that decoder. Memory use is
+// bounded by one internal read buffer (kBufferSize) plus one batch, regardless
+// of trace size, so a border monitor can feed detect::StreamingDetector from
+// a multi-gigabyte trace without ever materializing a TraceSet.
 //
 // The reader is zero-copy on the hot path: input is pulled from the stream in
 // large blocks, CSV lines are tokenized as std::string_view slices of the
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -117,11 +120,14 @@ class TraceReader {
   /// Ground-truth entries seen so far. For binary traces this is complete
   /// after construction; CSV traces normally carry truth in the preamble,
   /// but "#truth" lines are legal anywhere, so entries can still be added
-  /// while flows are being pulled.
+  /// while flows are being pulled. A mid-stream entry is applied when the
+  /// batch that holds its line is decoded, which may be before the flows
+  /// that precede it have been served by next().
   [[nodiscard]] const std::unordered_map<simnet::Ipv4, HostKind>& truth() const { return truth_; }
 
-  /// Flows yielded so far.
-  [[nodiscard]] std::size_t flows_read() const { return flows_read_; }
+  /// Flows handed to the caller so far (by next(), next_batch(), skip_flows()
+  /// and read_all()).
+  [[nodiscard]] std::size_t flows_read() const { return stats_.records_ok - unserved(); }
 
   /// For binary traces, the total flow count declared in the header; 0 for
   /// CSV (whose length is unknown until EOF).
@@ -131,52 +137,52 @@ class TraceReader {
 
   /// Ingestion health counters accumulated so far (quarantined records,
   /// resync events, first-fault diagnostics). Always valid; under
-  /// ErrorPolicy::strict() only records_ok ever moves.
+  /// ErrorPolicy::strict() only records_ok ever moves. The counters advance
+  /// as batches are decoded, so during a next() loop they can run up to one
+  /// batch ahead of flows_read(); at end-of-trace they are the same for every
+  /// mix of calls.
   [[nodiscard]] const IngestStats& ingest_stats() const { return stats_; }
 
-  /// Reads the next flow into `out`. Returns false at clean end-of-trace;
-  /// throws util::ParseError / util::IoError on malformed or truncated
-  /// input per the error policy (under kSkip malformed records are
-  /// quarantined into ingest_stats() instead of thrown). After false is
-  /// returned, further calls keep returning false.
+  /// Reads the next flow into `out`: a cursor over a reader-owned batch,
+  /// refilled through next_batch()'s decoder. Returns false at clean
+  /// end-of-trace; throws util::ParseError / util::IoError on malformed or
+  /// truncated input per the error policy (under kSkip malformed records are
+  /// quarantined into ingest_stats() instead of thrown). A fault thrown while
+  /// refilling is deferred until the rows decoded before it have been
+  /// returned, so next() throws exactly where a record-at-a-time read would.
+  /// After false is returned, further calls keep returning false.
   [[nodiscard]] bool next(FlowRecord& out);
 
   /// Reads the next batch of flows into `out` (cleared first), decoding
   /// straight into the columns: up to out.capacity() rows for CSV / binary
-  /// v1, one column block for binary v3 (delivered whole even when larger
-  /// than the batch). Returns the number of rows decoded; 0 at clean
-  /// end-of-trace (and on every later call).
+  /// v1, one column block for binary v3 (at most
+  /// FlowBatch::kDefaultCapacity rows; a larger declared block is rejected
+  /// as "bad block size"). Rows that a next() / skip_flows() refill decoded
+  /// but did not serve are handed out first, up to out.capacity(). Returns
+  /// the number of rows delivered; 0 at clean end-of-trace (and on every
+  /// later call).
   ///
-  /// Accounting is record-granular and identical to pulling the same trace
-  /// through next(): lineno_/ordinal bookkeeping, IngestStats counters,
-  /// resync runs and kStopAfter budgets all advance per record, so a trace
-  /// read in batches yields the same flows and the same ingest_stats() as a
-  /// record-at-a-time read for every batch capacity. On a thrown fault
-  /// (kStrict / exhausted kStopAfter) the batch retains the rows decoded
-  /// before the fault for CSV and binary v1 — already counted in
-  /// ingest_stats() — so a caller can still ingest them before handling the
-  /// error; a binary v3 block that throws mid-validation is discarded whole
-  /// (block-granular format, same as the record-mode view of it).
+  /// Accounting is record-granular and independent of the batch capacity:
+  /// line numbers / ordinals, IngestStats counters, resync runs and
+  /// kStopAfter budgets all advance per record. On a thrown fault (kStrict /
+  /// exhausted kStopAfter) the batch retains the rows decoded before the
+  /// fault for CSV and binary v1 — already counted in ingest_stats() — so a
+  /// caller can still ingest them before handling the error; a binary v3
+  /// block that throws mid-validation is discarded whole (block-granular
+  /// format).
   ///
-  /// next() and next_batch() may be freely mixed; each record is delivered
-  /// exactly once.
+  /// next(), next_batch() and skip_flows() may be freely mixed; each record
+  /// is delivered exactly once.
   std::size_t next_batch(FlowBatch& out);
 
-  /// Pulls and discards up to `n` flows (honoring the error policy);
-  /// returns how many were discarded. Used to fast-forward a trace when
-  /// resuming a checkpointed monitor.
+  /// Pulls and discards up to `n` flows (honoring the error policy) by
+  /// advancing the next() cursor; returns how many were discarded. Used to
+  /// fast-forward a trace when resuming a checkpointed monitor.
   std::size_t skip_flows(std::size_t n);
 
-  /// Drains the remaining flows (plus window and truth) into a TraceSet —
-  /// the batch entry points read_csv/read_binary are implemented with this.
-  ///
-  /// Unlike next(), this is allowed to materialize the remaining input, so
-  /// the CSV drain decodes flow lines in parallel over the shared pool
-  /// (thread count per util::resolve_threads / TRADEPLOT_THREADS). Each line
-  /// parses into its own pre-sized slot, so the resulting TraceSet is
-  /// bit-identical to the serial read for every thread count, and the
-  /// earliest malformed line wins when reporting errors, exactly as a
-  /// sequential pass would.
+  /// Drains the remaining flows (plus window and truth) into a TraceSet by
+  /// looping over next_batch() — the batch entry points read_csv/read_binary
+  /// are implemented with this.
   [[nodiscard]] TraceSet read_all();
 
  private:
@@ -186,19 +192,23 @@ class TraceReader {
   void read_csv_preamble();
   void read_binary_preamble();
   void parse_csv_comment(std::string_view line);
-  void read_all_csv(TraceSet& trace);
-  [[nodiscard]] bool next_csv(FlowRecord& out);
-  [[nodiscard]] bool next_binary(FlowRecord& out);
-  /// Record-mode view of a binary v3 trace: serves rows out of staged_,
-  /// refilling it one column block at a time.
-  [[nodiscard]] bool next_columnar(FlowRecord& out);
-  void next_batch_csv(FlowBatch& out);
-  void next_batch_binary(FlowBatch& out);
-  void next_batch_columnar(FlowBatch& out);
+  /// Decodes the next rows into `out` (must be empty) with the format's one
+  /// decoder, settling the obs ingest counters; marks the stream done when
+  /// no row remains.
+  void decode(FlowBatch& out);
+  void decode_csv(FlowBatch& out);
+  void decode_binary(FlowBatch& out);
   /// Reads and validates one binary v3 column block into `out` (must be
   /// empty); quarantined rows are compacted away. Returns false when no
   /// block remains (declared count reached or sync lost).
   bool read_columnar_block(FlowBatch& out);
+  /// Refills the next() cursor from the decoder; false at end-of-trace.
+  bool refill_cursor();
+  /// Rethrows (once) a fault a cursor refill deferred.
+  void rethrow_pending();
+  [[nodiscard]] std::size_t unserved() const {
+    return cursor_ == nullptr ? 0 : cursor_->size() - cursor_pos_;
+  }
   /// Routes one malformed record through the policy: records it in stats_
   /// and returns (to resume scanning) or rethrows. `record` is the CSV line
   /// number / 1-based binary record ordinal.
@@ -214,10 +224,8 @@ class TraceReader {
 
   std::uint64_t flow_count_ = 0;  // binary only
   std::uint32_t bin_version_ = 0;  // binary only: 1 (record) or 3 (columnar)
-  std::size_t flows_read_ = 0;
   /// Binary records consumed from the stream, including quarantined ones —
-  /// the cursor checked against the declared flow_count_ (flows_read_ only
-  /// counts records actually yielded).
+  /// the cursor checked against the declared flow_count_.
   std::uint64_t records_consumed_ = 0;
   std::size_t lineno_ = 0;  // CSV only
   bool done_ = false;
@@ -226,10 +234,12 @@ class TraceReader {
   IngestStats stats_{};
   bool in_bad_run_ = false;  // tracks resync_events (runs of quarantines)
 
-  /// Binary v3 record-mode staging: the current column block, with the next
-  /// row next() will serve. Unused (null) for CSV / binary v1.
-  std::unique_ptr<FlowBatch> staged_;
-  std::size_t staged_pos_ = 0;
+  /// The next() / skip_flows() cursor: the batch last decoded for them (only
+  /// allocated on first use, so constructing a reader stays cheap), the next
+  /// row to serve, and a fault its refill hit after decoding some rows.
+  std::unique_ptr<FlowBatch> cursor_;
+  std::size_t cursor_pos_ = 0;
+  std::exception_ptr pending_;
 };
 
 }  // namespace tradeplot::netflow

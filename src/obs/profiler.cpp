@@ -7,7 +7,6 @@ namespace tradeplot::obs {
 
 std::string_view to_string(Stage s) {
   switch (s) {
-    case Stage::kParse: return "parse";
     case Stage::kWindowClose: return "window_close";
     case Stage::kDataReduction: return "data_reduction";
     case Stage::kThetaVol: return "theta_vol";

@@ -22,7 +22,6 @@ namespace tradeplot::obs {
 /// Pipeline phases with per-stage latency histograms. Order is wire-stable
 /// (names, not indices, are exported); extend at the end.
 enum class Stage : std::uint8_t {
-  kParse,              // trace record decoding (batch CSV drain)
   kWindowClose,        // StreamingDetector::emit, end to end
   kDataReduction,      // §V-A failed-rate reduction
   kThetaVol,           // θ_vol volume test

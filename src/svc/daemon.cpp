@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -221,20 +222,24 @@ void Daemon::serve_connection(Fd fd) {
             break;
           }
           MemoryStream payload(frame.payload.data(), frame.payload.size());
-          netflow::TraceReader reader(payload, tenant->params().policy);
+          std::optional<netflow::TraceReader> reader;
           try {
+            // The preamble is parsed here, so a payload that is not a trace
+            // at all is answered like any other malformed payload.
+            reader.emplace(payload, tenant->params().policy);
             for (;;) {
               netflow::FlowBatch batch;
-              if (reader.next_batch(batch) == 0) break;
+              if (reader->next_batch(batch) == 0) break;
               (void)tenant->offer(std::move(batch));
             }
           } catch (const util::Error& e) {
-            // Strict-policy fault or lost record sync inside one payload:
-            // the faulting payload is abandoned (its parsed prefix was
-            // offered above), the connection and other frames are fine.
+            // Bad preamble, strict-policy fault or lost record sync inside
+            // one payload: the faulting payload is abandoned (batches
+            // completed before the fault were offered above), the
+            // connection and other frames are fine.
             (void)send_error(fd.get(), e.what());
           }
-          tenant->add_quarantined(reader.ingest_stats().records_quarantined);
+          if (reader) tenant->add_quarantined(reader->ingest_stats().records_quarantined);
           break;
         }
         case FrameType::kFlush: {

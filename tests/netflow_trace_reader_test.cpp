@@ -157,11 +157,15 @@ TEST(TraceReader, TruthCommentsMidStreamAreApplied) {
       "9.8.7.6,5.6.7.8,1,2,udp,2,3,1,1,1,1,est,\n";
   std::stringstream in(text);
   TraceReader reader(in);
+  EXPECT_TRUE(reader.truth().empty());  // the preamble carries no truth
+  // Truth is applied at batch granularity: the first pull decodes the batch
+  // that holds the "#truth" line, so the entry is present before flow 2 is
+  // served.
   FlowRecord r;
   ASSERT_TRUE(reader.next(r));
-  EXPECT_TRUE(reader.truth().empty());  // truth line not reached yet
+  EXPECT_EQ(reader.truth().size(), 1u);
+  EXPECT_EQ(reader.truth().at(simnet::Ipv4(1, 2, 3, 4)), HostKind::kStorm);
   ASSERT_TRUE(reader.next(r));
-  EXPECT_EQ(reader.truth().size(), 1u);  // applied while pulling flow 2
   EXPECT_FALSE(reader.next(r));
 }
 
@@ -175,6 +179,26 @@ TEST(TraceReader, MalformedLineMidStreamThrowsOnNext) {
   FlowRecord r;
   ASSERT_TRUE(reader.next(r));  // the good line still streams out
   EXPECT_THROW((void)reader.next(r), util::ParseError);
+
+  // Binary v1: a bad protocol byte in the second record. Payload-free
+  // records are 63 bytes; with no truth entries the first starts at byte 40
+  // and its proto byte sits at offset +12.
+  const TraceSet trace = sample_trace(2, 5);
+  TraceSet bare(trace.window_start(), trace.window_end());
+  for (FlowRecord f : trace.flows()) {
+    f.payload = {};
+    f.payload_len = 0;
+    bare.add_flow(f);
+  }
+  std::string bytes = binary_bytes(bare);
+  const std::size_t first_record = 4 + 4 + 8 + 8 + 8 + 8;
+  ASSERT_EQ(bytes.size(), first_record + 2 * 63);
+  bytes[first_record + 63 + 12] = static_cast<char>(0xFF);
+  std::stringstream bin(bytes);
+  TraceReader bin_reader(bin);
+  ASSERT_TRUE(bin_reader.next(r));  // the good record still streams out
+  EXPECT_EQ(r, bare.flows()[0]);
+  EXPECT_THROW((void)bin_reader.next(r), util::ParseError);
 }
 
 TEST(TraceReader, FileConstructorAutoDetects) {

@@ -384,6 +384,97 @@ TEST(Daemon, MalformedPayloadRowsAreQuarantinedAndAccounted) {
   daemon.stop();
 }
 
+TEST(Daemon, MalformedPayloadsGetAnErrorFrameAndTheConnectionKeepsServing) {
+  const std::string dir = make_temp_dir();
+  DaemonConfig cfg = base_config(dir, "campus");
+  // Strict, so a bad block size is an error rather than a quarantine.
+  cfg.tenants[0].policy = netflow::ErrorPolicy::strict();
+  Daemon daemon(cfg);
+  daemon.start();
+
+  // Preamble-level garbage and counts read off the wire that must be
+  // rejected before anything is allocated from them.
+  std::string bad_version;
+  {
+    std::ostringstream bin;
+    netflow::write_binary(bin, make_trace(5, 10.0));
+    bad_version = bin.str();
+    const std::uint32_t version = 2;
+    std::memcpy(bad_version.data() + 4, &version, sizeof(version));
+  }
+  // A binary preamble that ends right after its truth count, or, when the
+  // count is 0, after the flow count.
+  const auto preamble = [](std::uint32_t version, std::uint64_t truth_count,
+                           std::uint64_t flow_count) {
+    std::string out;
+    const auto put = [&out](const void* p, std::size_t n) {
+      out.append(static_cast<const char*>(p), n);
+    };
+    const std::uint32_t magic = 0x54504654;
+    const double window[2] = {0.0, 10.0};
+    put(&magic, 4);
+    put(&version, 4);
+    put(window, sizeof(window));
+    put(&truth_count, 8);
+    if (truth_count == 0) put(&flow_count, 8);
+    return out;
+  };
+  const std::string huge_truth = preamble(1, std::uint64_t{1} << 62, 0);
+  std::string huge_block = preamble(3, 0, 0xFFFFFFFFull);
+  const std::uint32_t rows = 0xFFFFFFFFu;
+  huge_block.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  const std::vector<std::string> malformed = {"not a trace\n", bad_version, huge_truth,
+                                              huge_block};
+
+  std::ostringstream good;
+  const netflow::TraceSet good_trace = make_trace(30, 10.0);
+  netflow::write_binary_columnar(good, good_trace);
+
+  Fd fd = connect_to(Endpoint::parse(cfg.ingest));
+  const auto send = [&](FrameType type, std::string_view body) {
+    const std::vector<char> wire = encode_frame(type, body);
+    ASSERT_TRUE(send_all(fd.get(), wire.data(), wire.size()));
+  };
+  const auto recv = [&](FrameParser& parser, Frame& out) {
+    char buf[8192];
+    while (!parser.next(out)) {
+      ASSERT_TRUE(wait_readable(fd.get(), 5000));
+      const std::size_t got = recv_some(fd.get(), buf, sizeof(buf));
+      ASSERT_GT(got, 0u);
+      parser.append(buf, got);
+    }
+  };
+
+  FrameParser parser;
+  Frame reply;
+  send(FrameType::kHello, "campus");
+  recv(parser, reply);
+  ASSERT_EQ(reply.type, FrameType::kHelloAck);
+  const std::vector<std::string> want_errors = {
+      "missing CSV header", "binary trace: bad version", "binary trace: short read",
+      "binary trace: bad block size"};
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    SCOPED_TRACE(want_errors[i]);
+    send(FrameType::kFlows, malformed[i]);
+    recv(parser, reply);
+    ASSERT_EQ(reply.type, FrameType::kError);
+    const std::string error(reply.payload_view());
+    EXPECT_NE(error.find(want_errors[i]), std::string::npos) << error;
+    send(FrameType::kFlows, good.str());  // the same connection still ingests
+  }
+  send(FrameType::kFlush, {});
+  recv(parser, reply);
+  ASSERT_EQ(reply.type, FrameType::kFlushAck);
+  const std::uint64_t rows_sent = malformed.size() * good_trace.flows().size();
+  const char* p = reply.payload.data();
+  EXPECT_EQ(read_u64(p), rows_sent);       // accepted
+  EXPECT_EQ(read_u64(p + 8), rows_sent);   // ingested
+  EXPECT_EQ(read_u64(p + 16), 0u);         // shed
+  EXPECT_EQ(read_u64(p + 24), 0u);         // quarantined
+  send(FrameType::kBye, {});
+  daemon.stop();
+}
+
 TEST(Daemon, UnknownTenantIsRejectedWithAnErrorFrame) {
   const std::string dir = make_temp_dir();
   const DaemonConfig cfg = base_config(dir, "campus");

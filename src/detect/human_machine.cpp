@@ -212,32 +212,23 @@ class FlatBinSet {
   std::vector<double> dense_weights_;  // n * width_ when dense
 };
 
-/// Upper-triangle pairwise fill in cache-blocked tiles (mirrored into the
-/// lower triangle). Each tile owns disjoint cells, so any worker order
-/// produces the identical matrix.
-template <typename CellFn>
-void fill_pairwise_tiled(std::vector<double>& d, std::size_t n, std::size_t threads,
-                         const CellFn& cell) {
-  constexpr std::size_t kTile = 64;
-  const std::size_t tile_count = (n + kTile - 1) / kTile;
+/// Calls tile(i_begin, i_end, j_begin, j_end) on the pool once for every
+/// k_tile-square tile on or above the diagonal of an n×n matrix. A task that
+/// writes its tile's cells (i, j), j > i, and their mirrors is the only
+/// writer of those cells, so any worker order produces the identical matrix.
+template <typename TileFn>
+void for_each_upper_tile(std::size_t n, std::size_t k_tile, std::size_t threads,
+                         const TileFn& tile) {
+  const std::size_t side = (n + k_tile - 1) / k_tile;
   std::vector<std::pair<std::size_t, std::size_t>> tiles;
-  tiles.reserve(tile_count * (tile_count + 1) / 2);
-  for (std::size_t ti = 0; ti < tile_count; ++ti) {
-    for (std::size_t tj = ti; tj < tile_count; ++tj) tiles.emplace_back(ti, tj);
+  tiles.reserve(side * (side + 1) / 2);
+  for (std::size_t ti = 0; ti < side; ++ti) {
+    for (std::size_t tj = ti; tj < side; ++tj) tiles.emplace_back(ti, tj);
   }
   util::parallel_for(0, tiles.size(), 1, threads, [&](std::size_t t) {
-    const obs::ScopedTimer tile_timer(obs::enabled() ? &HmObs::get().tile_seconds
-                                                     : nullptr);
     const auto [ti, tj] = tiles[t];
-    const std::size_t i_end = std::min(n, (ti + 1) * kTile);
-    const std::size_t j_end = std::min(n, (tj + 1) * kTile);
-    for (std::size_t i = ti * kTile; i < i_end; ++i) {
-      for (std::size_t j = std::max(i + 1, tj * kTile); j < j_end; ++j) {
-        const double v = cell(i, j);
-        d[i * n + j] = v;
-        d[j * n + i] = v;
-      }
-    }
+    tile(ti * k_tile, std::min(n, (ti + 1) * k_tile), tj * k_tile,
+         std::min(n, (tj + 1) * k_tile));
   });
 }
 
@@ -245,100 +236,87 @@ double bin_l1_grid(const HumanMachineConfig& config) {
   return config.fixed_bin_width > 0.0 ? config.fixed_bin_width : 60.0;
 }
 
-/// Distance matrix through the cross-window cache: reuse every pair whose
-/// two hosts' content hashes match the stored entry, compute only the
-/// missing cells with the flat kernels, then retain exactly this window's
-/// pairs (one-window retention keeps the cache — and its checkpoint image —
-/// bounded by the last window's size).
-std::vector<double> cached_distances(const std::vector<stats::Signature>& signatures,
-                                     const std::vector<simnet::Ipv4>& hosts,
-                                     const std::vector<std::uint64_t>& hashes,
-                                     const HumanMachineConfig& config, HmCache& cache) {
-  const std::size_t n = signatures.size();
-  std::vector<double> d(n * n, 0.0);
-  const std::size_t reused_before = cache.distances_reused;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> missing;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const auto it = cache.distances.find(HmCache::pair_key(hosts[i], hosts[j]));
-      const std::uint64_t hash_lo = hosts[i].value() < hosts[j].value() ? hashes[i] : hashes[j];
-      const std::uint64_t hash_hi = hosts[i].value() < hosts[j].value() ? hashes[j] : hashes[i];
-      if (it != cache.distances.end() && it->second.hash_lo == hash_lo &&
-          it->second.hash_hi == hash_hi) {
-        d[i * n + j] = it->second.distance;
-        d[j * n + i] = it->second.distance;
-        ++cache.distances_reused;
-      } else {
-        missing.emplace_back(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
-      }
-    }
-  }
-
-  if (!missing.empty()) {
-    if (config.distance == HmDistance::kBinL1) {
-      const FlatBinSet bins(signatures, bin_l1_grid(config), config.threads);
-      util::parallel_for(0, missing.size(), 64, config.threads, [&](std::size_t k) {
-        const auto [i, j] = missing[k];
-        const double v = bins.l1(i, j);
-        d[i * n + j] = v;
-        d[j * n + i] = v;
-      });
-    } else {
-      const stats::FlatSignatureSet flat(signatures, config.threads);
-      util::parallel_for(0, missing.size(), 64, config.threads, [&](std::size_t k) {
-        const auto [i, j] = missing[k];
-        const double v = stats::emd_1d_presorted(flat.view(i), flat.view(j));
-        d[i * n + j] = v;
-        d[j * n + i] = v;
-      });
-    }
-    cache.distances_computed += missing.size();
-  }
-  if (obs::enabled()) {
-    HmObs& o = HmObs::get();
-    o.distances_reused.add(cache.distances_reused - reused_before);
-    o.distances_computed.add(missing.size());
-  }
-
-  std::unordered_map<std::uint64_t, HmCache::DistanceEntry> retained;
-  retained.reserve(n * (n - 1) / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::uint64_t hash_lo = hosts[i].value() < hosts[j].value() ? hashes[i] : hashes[j];
-      const std::uint64_t hash_hi = hosts[i].value() < hosts[j].value() ? hashes[j] : hashes[i];
-      retained.emplace(HmCache::pair_key(hosts[i], hosts[j]),
-                       HmCache::DistanceEntry{hash_lo, hash_hi, d[i * n + j]});
-    }
-  }
-  cache.distances = std::move(retained);
-  cache.rebuild_distance_filter();
-  return d;
-}
-
-/// The sub-quadratic distance + clustering stage. Exact leaf distances are
-/// resolved on demand (HmCache first, then the flat kernels) and memoized by
-/// leaf pair; the lazy clustering driver gates every candidate through the
-/// pruned-neighbor index's lower bounds so only near pairs pay the kernel.
-/// Verdicts are bit-identical to the dense path (see
-/// stats::average_linkage_cut_pruned); memory stays O(resolved
-/// pairs) — a fully cache-warm window runs zero kernel evaluations and never
-/// allocates quadratic storage.
-class PrunedStage {
+/// The one source of θ_hm leaf distances, for both clustering engines: the
+/// cross-window HmCache first (a pair is served when both hosts' content
+/// hashes still match its entry), then the flat kernels — the 4-lane EMD
+/// sweep in blocks of four (per-lane bit-identical to the scalar kernel),
+/// the scalar kernel for the tail, or the bin-L1 sweep. Every pair is
+/// evaluated as (low, high) leaf index: the EMD merge sweep is not bitwise
+/// symmetric under tied positions, so one operand order keeps every value
+/// bit-identical whichever engine or thread count asked for it.
+///
+///  * Dense engine: resolve_all() fills the n×n matrix.
+///  * Pruned engine: build_index() adds the pruned-neighbor index, and the
+///    fused clustering driver resolves pairs on demand into a sparse memo
+///    (O(resolved pairs) memory — a fully cache-warm window runs zero
+///    kernel evaluations and never allocates quadratic storage).
+///
+/// retain_into_cache() then keeps exactly the pairs this window resolved
+/// (one-window retention bounds the cache, and its checkpoint image, by the
+/// last window's size) and books the HmCache counters.
+class LeafResolver {
  public:
-  PrunedStage(const std::vector<stats::Signature>& signatures,
-              const std::vector<simnet::Ipv4>& hosts,
-              const std::vector<std::uint64_t>& hashes, const HumanMachineConfig& config,
-              HmCache* cache)
+  LeafResolver(const std::vector<stats::Signature>& signatures,
+               const std::vector<simnet::Ipv4>& hosts,
+               const std::vector<std::uint64_t>& hashes, const HumanMachineConfig& config,
+               HmCache* cache)
       : hosts_(hosts), hashes_(hashes), cache_(cache),
         threads_(util::resolve_threads(config.threads)),
         collect_timing_(config.collect_phase_timing) {
-    const std::size_t n = signatures.size();
     if (config.distance == HmDistance::kBinL1) {
       bins_.emplace(signatures, bin_l1_grid(config), config.threads);
     } else {
       flat_.emplace(signatures, config.threads);
     }
+  }
 
+  /// Dense engine: every pair into a row-major n×n matrix, filled in 32×32
+  /// tiles of the upper triangle on the pool. Each tile task probes the
+  /// cache for its pairs (thread-safe; skipped without a cache), runs its
+  /// cold pairs row by row through four-lane blocks, and writes each value
+  /// and its mirror; only tile edges share a cache line between tasks.
+  [[nodiscard]] const std::vector<double>& resolve_all() {
+    const std::size_t n = hosts_.size();
+    matrix_.assign(n * n, 0.0);
+    const auto put = [&](std::size_t i, std::size_t j, double v) {
+      matrix_[i * n + j] = v;
+      matrix_[j * n + i] = v;
+    };
+    for_each_upper_tile(n, 32, threads_, [&](std::size_t i_begin, std::size_t i_end,
+                                             std::size_t j_begin, std::size_t j_end) {
+      std::uint64_t evals = 0;
+      for (std::size_t i = i_begin; i < i_end; ++i) {
+        const std::size_t a4[4] = {i, i, i, i};
+        std::size_t b4[4];
+        double out4[4];
+        std::size_t lanes = 0;
+        const auto flush = [&] {
+          eval_block(a4, b4, lanes, out4);
+          for (std::size_t l = 0; l < lanes; ++l) put(i, b4[l], out4[l]);
+          evals += lanes;
+          lanes = 0;
+        };
+        for (std::size_t j = std::max(i + 1, j_begin); j < j_end; ++j) {
+          double v = 0.0;
+          if (cache_ != nullptr && cache_probe(i, j, v)) {
+            put(i, j, v);
+            continue;
+          }
+          b4[lanes++] = j;
+          if (lanes == 4) flush();
+        }
+        flush();
+      }
+      kernel_evals_.fetch_add(evals, std::memory_order_relaxed);
+    });
+    return matrix_;
+  }
+
+  /// Pruned engine: builds the neighbor index and seeds the memo with its
+  /// pivot columns (the NN-chain and the diameter pass re-ask for many
+  /// leaf-pivot pairs).
+  void build_index(const HumanMachineConfig& config) {
+    const std::size_t n = hosts_.size();
     // Pivot columns are filled with parallel_for: exact_pair is pure (cache
     // reads only, atomic counters), so the index is thread-count invariant.
     const auto index_start = collect_timing_ ? std::chrono::steady_clock::now()
@@ -357,9 +335,6 @@ class PrunedStage {
           std::chrono::duration<double>(std::chrono::steady_clock::now() - index_start)
               .count();
     }
-
-    // Seed the serial memo with the pivot columns — the NN-chain and the
-    // diameter pass re-ask for many leaf-pivot pairs.
     const std::size_t p_count = index_->pivot_count();
     leaf_memo_.reserve(n * p_count);
     for (std::size_t p = 0; p < p_count; ++p) {
@@ -371,8 +346,7 @@ class PrunedStage {
     }
   }
 
-  /// Memoized exact leaf distance; serial (clustering driver and diameter
-  /// pass only).
+  /// Memoized exact leaf distance; serial (clustering driver only).
   double leaf_distance(std::size_t i, std::size_t j) {
     const std::uint64_t slot = pair_slot(i, j);
     if (const double* hit = leaf_memo_.find(slot); hit != nullptr) return *hit;
@@ -381,14 +355,12 @@ class PrunedStage {
     return v;
   }
 
-  /// Batch resolution of distinct (min, max) leaf pairs on the thread pool.
-  /// Cross-window cache hits resolve in a serial probe pass; the cold pairs
-  /// run in parallel blocks of four through the 4-lane EMD sweep (per-lane
-  /// bit-identical to the scalar kernel), scalar for the bin-L1 mode and the
-  /// tail. exact_pair is pure and every index writes one disjoint out slot,
-  /// so out[] is bit-identical to a serial exact_pair loop at every thread
-  /// count. Does NOT touch leaf_memo_ (not thread-safe); the engine reports
-  /// each resolution back serially through note_resolved.
+  /// Batch resolution of distinct (min, max) leaf pairs on the thread pool:
+  /// cache hits in a serial probe pass, the cold pairs in parallel blocks
+  /// of four. Every index writes one disjoint out slot, so out[] is
+  /// bit-identical to a serial exact_pair loop at every thread count. Does
+  /// NOT touch leaf_memo_ (not thread-safe); the engine reports each
+  /// resolution back serially through on_leaf_resolved.
   void batch_eval(std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
                   double* out) {
     cold_pairs_.clear();
@@ -405,42 +377,28 @@ class PrunedStage {
     const std::size_t blocks = (cold_pairs_.size() + 3) / 4;
     util::parallel_for(0, blocks, 1, threads_, [&](std::size_t blk) {
       const std::size_t begin = blk * 4;
-      const std::size_t count = std::min<std::size_t>(4, cold_pairs_.size() - begin);
-      if (flat_ && count == 4) {
-        std::size_t a4[4], b4[4];
-        double out4[4];
-        for (std::size_t l = 0; l < 4; ++l) {
-          a4[l] = pairs[cold_pairs_[begin + l]].first;
-          b4[l] = pairs[cold_pairs_[begin + l]].second;
-        }
-        flat_->emd_x4(a4, b4, out4);
-        for (std::size_t l = 0; l < 4; ++l) out[cold_pairs_[begin + l]] = out4[l];
-        return;
+      const std::size_t lanes = std::min<std::size_t>(4, cold_pairs_.size() - begin);
+      std::size_t a4[4], b4[4];
+      double out4[4];
+      for (std::size_t l = 0; l < lanes; ++l) {
+        a4[l] = pairs[cold_pairs_[begin + l]].first;
+        b4[l] = pairs[cold_pairs_[begin + l]].second;
       }
-      for (std::size_t l = 0; l < count; ++l) {
-        const auto [a, b] = pairs[cold_pairs_[begin + l]];
-        out[cold_pairs_[begin + l]] =
-            bins_ ? bins_->l1(a, b) : stats::emd_1d_presorted(flat_->view(a), flat_->view(b));
-      }
+      eval_block(a4, b4, lanes, out4);
+      for (std::size_t l = 0; l < lanes; ++l) out[cold_pairs_[begin + l]] = out4[l];
     });
   }
 
-  /// Serial observer for batch-resolved pairs: memoize so retention and the
-  /// diameter pass see batch values too.
-  void note_resolved(std::size_t i, std::size_t j, double v) {
-    leaf_memo_.insert(pair_slot(i, j), v);
-  }
-
-  /// Options handed to the pruned clustering drivers: batch resolution on
-  /// this stage's pool, resolutions mirrored into the memo, phase timing per
-  /// config.
+  /// Options handed to the fused clustering driver: batch resolution on
+  /// this resolver's pool, resolutions mirrored into the memo (so retention
+  /// and the diameter pass see batch values too), phase timing per config.
   [[nodiscard]] stats::PruneOptions prune_options() {
     stats::PruneOptions opts;
     opts.threads = threads_;
     opts.batch_leaf = [this](std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
                              double* out) { batch_eval(pairs, out); };
     opts.on_leaf_resolved = [this](std::size_t i, std::size_t j, double v) {
-      note_resolved(i, j, v);
+      leaf_memo_.insert(pair_slot(i, j), v);
     };
     opts.collect_timing = collect_timing_;
     return opts;
@@ -470,7 +428,8 @@ class PrunedStage {
       std::vector<double> values(diameter_missing_.size());
       batch_eval(diameter_missing_, values.data());
       for (std::size_t k = 0; k < diameter_missing_.size(); ++k) {
-        note_resolved(diameter_missing_[k].first, diameter_missing_[k].second, values[k]);
+        leaf_memo_.insert(pair_slot(diameter_missing_[k].first, diameter_missing_[k].second),
+                          values[k]);
         diameter = std::max(diameter, values[k]);
       }
     }
@@ -478,7 +437,6 @@ class PrunedStage {
   }
 
   [[nodiscard]] double pivot_build_seconds() const { return pivot_build_seconds_; }
-
   [[nodiscard]] stats::PruneFeatures features() const { return index_->features(); }
   [[nodiscard]] std::size_t pivot_count() const { return index_->pivot_count(); }
   [[nodiscard]] std::uint64_t kernel_evals() const {
@@ -487,22 +445,34 @@ class PrunedStage {
   [[nodiscard]] std::uint64_t cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t resolved_pairs() const { return leaf_memo_.size(); }
+  [[nodiscard]] std::uint64_t resolved_pairs() const {
+    const std::uint64_t n = hosts_.size();
+    return matrix_.empty() ? leaf_memo_.size() : n * (n - 1) / 2;
+  }
 
-  /// One-window retention of exactly the resolved pairs: the next warm
-  /// window's pivot columns and chain resolutions become pure cache hits.
+  /// One-window retention of exactly the resolved pairs — the matrix's
+  /// upper triangle or the memo — so the next warm window's pairs become
+  /// pure cache hits; books this window's HmCache counters.
   void retain_into_cache() {
     if (cache_ == nullptr) return;
     std::unordered_map<std::uint64_t, HmCache::DistanceEntry> retained;
-    retained.reserve(leaf_memo_.size());
-    leaf_memo_.for_each([&](std::uint64_t slot, double distance) {
-      const auto i = static_cast<std::size_t>(slot >> 32);
-      const auto j = static_cast<std::size_t>(slot & 0xffffffffu);
+    retained.reserve(resolved_pairs());
+    const auto retain = [&](std::size_t i, std::size_t j, double distance) {
       const bool i_low = hosts_[i].value() < hosts_[j].value();
       retained.emplace(HmCache::pair_key(hosts_[i], hosts_[j]),
                        HmCache::DistanceEntry{i_low ? hashes_[i] : hashes_[j],
                                               i_low ? hashes_[j] : hashes_[i], distance});
-    });
+    };
+    if (!matrix_.empty()) {
+      const std::size_t n = hosts_.size();
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i + 1; j < n; ++j) retain(i, j, matrix_[i * n + j]);
+    } else {
+      leaf_memo_.for_each([&](std::uint64_t slot, double distance) {
+        retain(static_cast<std::size_t>(slot >> 32),
+               static_cast<std::size_t>(slot & 0xffffffffu), distance);
+      });
+    }
     cache_->distances = std::move(retained);
     cache_->rebuild_distance_filter();
     cache_->distances_computed += kernel_evals();
@@ -536,18 +506,28 @@ class PrunedStage {
     return true;
   }
 
-  /// Pure, thread-safe exact pair distance: cross-window cache lookup first,
-  /// then the same flat kernel the dense path uses (bit-identical values).
+  /// The exact kernel for one (a, b) pair, a < b.
+  [[nodiscard]] double kernel(std::size_t a, std::size_t b) const {
+    return bins_ ? bins_->l1(a, b) : stats::emd_1d_presorted(flat_->view(a), flat_->view(b));
+  }
+
+  /// Pure, thread-safe exact pair distance: cache first, then the kernel.
   double exact_pair(std::size_t i, std::size_t j) {
     double cached = 0.0;
     if (cache_probe(i, j, cached)) return cached;
     kernel_evals_.fetch_add(1, std::memory_order_relaxed);
-    // The dense path only ever evaluates (low, high) pairs; the EMD merge
-    // sweep is not bitwise symmetric under tied positions, so normalize the
-    // operand order to stay bit-identical.
-    const std::size_t a = std::min(i, j);
-    const std::size_t b = std::max(i, j);
-    return bins_ ? bins_->l1(a, b) : stats::emd_1d_presorted(flat_->view(a), flat_->view(b));
+    return kernel(std::min(i, j), std::max(i, j));
+  }
+
+  /// Exact distances of `lanes` (a[l], b[l]) pairs, a[l] < b[l], lanes <= 4:
+  /// one 4-lane EMD sweep for a full EMD block, the scalar kernel otherwise.
+  void eval_block(const std::size_t* a, const std::size_t* b, std::size_t lanes,
+                  double* out) const {
+    if (flat_ && lanes == 4) {
+      flat_->emd_x4(a, b, out);
+      return;
+    }
+    for (std::size_t l = 0; l < lanes; ++l) out[l] = kernel(a[l], b[l]);
   }
 
   const std::vector<simnet::Ipv4>& hosts_;
@@ -558,8 +538,9 @@ class PrunedStage {
   double pivot_build_seconds_ = 0.0;
   std::optional<FlatBinSet> bins_;
   std::optional<stats::FlatSignatureSet> flat_;
-  std::optional<stats::NeighborIndex> index_;
-  util::Flat64Map leaf_memo_;  // (min<<32)|max -> exact
+  std::vector<double> matrix_;                  // dense engine: n×n
+  std::optional<stats::NeighborIndex> index_;   // pruned engine
+  util::Flat64Map leaf_memo_;                   // pruned engine: (min<<32)|max -> exact
   // Scratch for batch_eval / group_diameter (serial entry points).
   std::vector<std::size_t> cold_pairs_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> diameter_missing_;
@@ -723,8 +704,16 @@ std::vector<double> pairwise_bin_l1(const std::vector<stats::Signature>& sigs,
   const FlatBinSet bins(sigs, bin_l1_grid(config), config.threads);
   std::vector<double> d(n * n, 0.0);
   if (n < 2) return d;
-  fill_pairwise_tiled(d, n, config.threads,
-                      [&](std::size_t i, std::size_t j) { return bins.l1(i, j); });
+  for_each_upper_tile(n, 64, config.threads, [&](std::size_t i_begin, std::size_t i_end,
+                                                 std::size_t j_begin, std::size_t j_end) {
+    const obs::ScopedTimer tile_timer(obs::enabled() ? &HmObs::get().tile_seconds : nullptr);
+    for (std::size_t i = i_begin; i < i_end; ++i) {
+      for (std::size_t j = std::max(i + 1, j_begin); j < j_end; ++j) {
+        d[i * n + j] = bins.l1(i, j);
+        d[j * n + i] = d[i * n + j];
+      }
+    }
+  });
   return d;
 }
 
@@ -749,17 +738,23 @@ HumanMachineResult human_machine_test(const FeatureMap& features, const HostSet&
 
   const std::size_t n = hosts.size();
   result.prune.pairs_total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  const bool use_pruned =
-      config.pruning == HmPruning::kPruned ||
-      (config.pruning == HmPruning::kAuto && n >= config.prune_min_hosts);
+  const bool use_pruned = config.pruning == HmPruning::kPruned ||
+                          (config.pruning == HmPruning::kAuto && n >= kHmPruneMinHosts);
 
+  LeafResolver resolver(signatures, hosts, hashes, config, cache);
   std::vector<double> diameters;
+  const auto add_cluster = [&](const std::vector<std::size_t>& group, double diameter) {
+    HostCluster cluster;
+    for (const std::size_t idx : group) cluster.members.push_back(hosts[idx]);
+    cluster.diameter = diameter;
+    diameters.push_back(diameter);
+    result.clusters.push_back(std::move(cluster));
+  };
   if (use_pruned) {
-    // Sub-quadratic path: no dense matrix is ever allocated. Exact distances
-    // resolve lazily through the cache and the flat kernels; the clustering
-    // driver prunes candidates with the index's admissible lower bounds and
-    // is bit-identical to the dense run by construction.
-    PrunedStage stage(signatures, hosts, hashes, config, cache);
+    // No dense matrix is ever allocated: exact distances resolve lazily, and
+    // the clustering driver prunes candidates with the index's admissible
+    // lower bounds and is bit-identical to the dense engine by construction.
+    resolver.build_index(config);
     stats::PruneCounters counters;
     const auto groups = [&] {
       const obs::StageTimer cluster_timer(obs::Stage::kClustering);
@@ -768,85 +763,59 @@ HumanMachineResult human_machine_test(const FeatureMap& features, const HostSet&
       // — a full dendrogram's top merge heights would need nearly every far
       // pair (see stats::average_linkage_cut_pruned).
       return stats::average_linkage_cut_pruned(
-          n, [&stage](std::size_t i, std::size_t j) { return stage.leaf_distance(i, j); },
-          stage.features(), config.cut_fraction, stage.prune_options(), &counters);
+          n, [&resolver](std::size_t i, std::size_t j) { return resolver.leaf_distance(i, j); },
+          resolver.features(), config.cut_fraction, resolver.prune_options(), &counters);
     }();
-
     for (const auto& group : groups) {
-      if (group.size() < config.min_cluster_size) continue;
-      HostCluster cluster;
-      for (const std::size_t idx : group) cluster.members.push_back(hosts[idx]);
-      // Memo-probing + batched: the clustering run already resolved most
-      // pairs inside a tight cluster, and the few missing ones go through
-      // the pool in one batch instead of one serial kernel at a time.
-      cluster.diameter = stage.group_diameter(group);
-      diameters.push_back(cluster.diameter);
-      result.clusters.push_back(std::move(cluster));
+      if (group.size() >= config.min_cluster_size)
+        add_cluster(group, resolver.group_diameter(group));
     }
 
-    stage.retain_into_cache();
     result.prune.used = true;
-    result.prune.exact_kernel_evals = stage.kernel_evals();
-    result.prune.cache_hits = stage.cache_hits();
-    result.prune.resolved_pairs = stage.resolved_pairs();
-    result.prune.pivots = stage.pivot_count();
+    result.prune.pivots = resolver.pivot_count();
     result.prune.scanned = counters.scanned;
     result.prune.skipped_pivot = counters.skipped_pivot;
     result.prune.skipped_grid = counters.skipped_grid;
     result.prune.scan_cache_hits = counters.scan_cache_hits;
     result.prune.bloom_skips = counters.bloom_skips;
-    result.prune.pivot_build_ms = stage.pivot_build_seconds() * 1e3;
+    result.prune.pivot_build_ms = resolver.pivot_build_seconds() * 1e3;
     result.prune.bound_scan_ms = counters.bound_scan_seconds * 1e3;
     result.prune.exact_eval_ms = counters.exact_eval_seconds * 1e3;
     result.prune.replay_ms = counters.replay_seconds * 1e3;
     if (obs::enabled()) {
       HmObs& o = HmObs::get();
-      o.distances_computed.add(stage.kernel_evals());
-      o.distances_reused.add(stage.cache_hits());
-      o.prune_exact.add(stage.kernel_evals());
+      o.prune_exact.add(resolver.kernel_evals());
       o.prune_skipped_pivot.add(counters.skipped_pivot);
       o.prune_skipped_grid.add(counters.skipped_grid);
       o.cluster_scan_cache_hits.add(counters.scan_cache_hits);
       o.cluster_bloom_skips.add(counters.bloom_skips);
-      o.cluster_exact_evals.add(stage.kernel_evals());
     }
   } else {
     if (obs::enabled()) HmObs::get().dense_matrix.add(1);
-    const std::uint64_t computed_before = cache != nullptr ? cache->distances_computed : 0;
-    const std::uint64_t reused_before = cache != nullptr ? cache->distances_reused : 0;
-    std::vector<double> distances;
-    {
+    const std::vector<double>& distances = [&]() -> const std::vector<double>& {
       const obs::StageTimer dist_timer(obs::Stage::kPairwiseDistance);
-      distances = cache != nullptr
-                      ? cached_distances(signatures, hosts, hashes, config, *cache)
-                  : config.distance == HmDistance::kBinL1
-                      ? pairwise_bin_l1(signatures, config)
-                      : stats::pairwise_emd(signatures, config.threads);
-      if (cache == nullptr && obs::enabled())
-        HmObs::get().distances_computed.add(result.prune.pairs_total);
-    }
-    result.prune.exact_kernel_evals =
-        cache != nullptr ? cache->distances_computed - computed_before
-                         : result.prune.pairs_total;
-    result.prune.cache_hits = cache != nullptr ? cache->distances_reused - reused_before : 0;
-    result.prune.resolved_pairs = result.prune.pairs_total;
-    if (obs::enabled()) HmObs::get().cluster_exact_evals.add(result.prune.exact_kernel_evals);
-
+      return resolver.resolve_all();
+    }();
     const auto groups = [&] {
       const obs::StageTimer cluster_timer(obs::Stage::kClustering);
       const stats::Dendrogram dendrogram = stats::agglomerative_average_linkage(distances, n);
       return dendrogram.cut_top_fraction(config.cut_fraction);
     }();
-
-    // Diameters of the clusters that carry similarity evidence.
     for (const auto& group : groups) {
-      if (group.size() < config.min_cluster_size) continue;
-      HostCluster cluster;
-      for (const std::size_t idx : group) cluster.members.push_back(hosts[idx]);
-      cluster.diameter = stats::cluster_diameter(distances, n, group);
-      diameters.push_back(cluster.diameter);
-      result.clusters.push_back(std::move(cluster));
+      if (group.size() >= config.min_cluster_size)
+        add_cluster(group, stats::cluster_diameter(distances, n, group));
     }
+  }
+
+  resolver.retain_into_cache();
+  result.prune.exact_kernel_evals = resolver.kernel_evals();
+  result.prune.cache_hits = resolver.cache_hits();
+  result.prune.resolved_pairs = resolver.resolved_pairs();
+  if (obs::enabled()) {
+    HmObs& o = HmObs::get();
+    o.distances_computed.add(resolver.kernel_evals());
+    o.distances_reused.add(resolver.cache_hits());
+    o.cluster_exact_evals.add(resolver.kernel_evals());
   }
   if (result.clusters.empty()) {
     finish();

@@ -10,6 +10,7 @@
 // irregular timing inflates their cluster diameters.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -36,18 +37,27 @@ class HmCache;
 ///                   to *how far* mass moved, the weakness EMD avoids.
 enum class HmDistance { kEmd, kEmdBinIndex, kBinL1 };
 
-/// Strategy for the pairwise-distance + clustering stage.
+/// Strategy for the clustering stage. Both engines take their leaf
+/// distances from one resolver (HmCache first, then the exact kernels), so
+/// distances, cache contents and counters do not depend on the engine.
 ///
-///  * kExhaustive — dense n×n distance matrix, every pair through the exact
-///    kernel (the reference path).
-///  * kPruned     — lazy clustering over a pruned-neighbor index: pivot
+///  * kExhaustive — every pair resolved into a dense n×n matrix, then UPGMA
+///    (stats::agglomerative_average_linkage) and cut_top_fraction.
+///  * kPruned     — the fused UPGMA + cut driver
+///    (stats::average_linkage_cut_pruned) over a pruned-neighbor index: pivot
 ///    triangle-inequality and bin-L1 grid lower bounds gate which pairs pay
 ///    the exact kernel; distances resolve on demand into a sparse store.
-///    Verdicts are bit-identical to kExhaustive by construction (see
-///    stats::agglomerative_average_linkage_pruned), only cheaper.
-///  * kAuto       — kPruned from prune_min_hosts eligible hosts upward,
-///    kExhaustive below (at small n the dense path's fixed costs win).
+///    Verdicts are bit-identical to kExhaustive by construction, only cheaper
+///    at large n.
+///  * kAuto       — kPruned from kHmPruneMinHosts eligible hosts upward,
+///    kExhaustive below.
 enum class HmPruning { kAuto, kExhaustive, kPruned };
+
+/// kAuto switches to the pruned engine at this many eligible hosts. Below it
+/// the pruned engine's fixed costs do not pay: in bench_cluster the engines
+/// cross between 192 and 256 hosts at 1 thread, and the dense engine stays
+/// ahead through 512 hosts at 4 threads (DESIGN.md §15).
+inline constexpr std::size_t kHmPruneMinHosts = 256;
 
 struct HumanMachineConfig {
   /// τ_hm as a percentile of cluster diameters (paper sweeps 10..90th and
@@ -73,13 +83,8 @@ struct HumanMachineConfig {
   /// silently falling back to a default grid.
   double fixed_bin_width = 0.0;
   HmDistance distance = HmDistance::kEmd;
-  /// Distance/clustering strategy; see HmPruning.
+  /// Clustering engine; see HmPruning.
   HmPruning pruning = HmPruning::kAuto;
-  /// kAuto switches to the pruned path at this many eligible hosts. Below
-  /// it the dense path's fixed costs win: in bench_cluster the dense path
-  /// is ahead at 128 and 192 hosts at 1 and 4 threads, and the pruned path
-  /// pulls ahead from 256 hosts at 1 thread (DESIGN.md §15).
-  std::size_t prune_min_hosts = 256;
   /// Pivot leaves for the triangle-inequality tier (clamped to the host
   /// count). More pivots = tighter bounds at n·pivots extra exact
   /// evaluations. Benched across 256..4096 hosts the marginal pivot saves
@@ -108,10 +113,11 @@ struct HostCluster {
   bool kept = false;  // survived the τ_hm filter
 };
 
-/// Work accounting for one θ_hm distance/clustering stage. On the pruned
-/// path `used` is true and the counters describe how much of the quadratic
-/// pair space was actually paid for; on the exhaustive path only
-/// pairs_total / exact_kernel_evals / cache_hits are meaningful.
+/// Work accounting for one θ_hm distance/clustering stage. pairs_total,
+/// exact_kernel_evals, cache_hits and resolved_pairs are filled the same way
+/// on both engines (exact_kernel_evals + cache_hits == resolved_pairs); on
+/// the pruned engine `used` is true and the remaining fields describe how
+/// much of the quadratic pair space its bounds saved.
 struct HmPruneStats {
   bool used = false;                      // pruned path taken
   std::uint64_t pairs_total = 0;          // n(n-1)/2 over eligible hosts

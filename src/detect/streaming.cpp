@@ -16,6 +16,7 @@
 #include "util/checksum.h"
 #include "util/error.h"
 #include "util/parallel.h"
+#include "util/replace_file.h"
 
 namespace tradeplot::detect {
 
@@ -364,11 +365,7 @@ void StreamingDetector::restore_checkpoint(std::istream& in) {
 }
 
 void StreamingDetector::save_checkpoint_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw util::IoError("cannot open checkpoint for writing: " + path);
-  save_checkpoint(out);
-  out.close();
-  if (!out) throw util::IoError("checkpoint write failed: " + path);
+  util::replace_file(path, [this](std::ostream& out) { save_checkpoint(out); });
 }
 
 void StreamingDetector::restore_checkpoint_file(const std::string& path) {

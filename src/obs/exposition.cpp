@@ -2,13 +2,12 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "util/error.h"
 #include "util/json.h"
+#include "util/replace_file.h"
 
 namespace tradeplot::obs {
 
@@ -198,18 +197,7 @@ void write_snapshot_file(const std::string& path, const MetricsSnapshot& snapsho
     std::cout.flush();
     return;
   }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw util::IoError("cannot open " + tmp + " for writing");
-    write_snapshot(out, snapshot, format);
-    out.flush();
-    if (!out) throw util::IoError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw util::IoError("cannot rename " + tmp + " to " + path);
-  }
+  util::replace_file(path, [&](std::ostream& out) { write_snapshot(out, snapshot, format); });
 }
 
 }  // namespace tradeplot::obs

@@ -101,8 +101,7 @@ namespace {
 
 // The NN-chain discovers merges in an order that is not globally sorted by
 // height (only locally reducible). Downstream cuts assume height order, so
-// sort and remap internal node ids to the new positions. Shared by the dense
-// and pruned drivers so both emit byte-identical dendrograms.
+// sort and remap internal node ids to the new positions.
 std::vector<Merge> sort_merges_by_height(std::vector<Merge> merges, std::size_t n) {
   std::vector<std::size_t> order(merges.size());
   std::iota(order.begin(), order.end(), 0);
@@ -403,7 +402,7 @@ constexpr double kInfD = std::numeric_limits<double>::infinity();
 // with_margin() rounding allowance on the bounds themselves.
 constexpr double kCutSlack = 1e-12;
 
-/// The lazy nearest-neighbour chain shared by both pruned drivers.
+/// The lazy nearest-neighbour chain behind average_linkage_cut_pruned.
 ///
 /// Verdict-relevant behaviour — which slot every scan selects, which pairs
 /// merge, and every resolved height — is bit-identical to the dense driver's
@@ -442,7 +441,6 @@ class PrunedChainEngine {
     // already proven to land in the cut set. Must never be resolved — its
     // node ids have no ResolvedStore entry.
     bool forced = false;
-    std::size_t merged_size = 0;  // leaves under the new node (real merges)
   };
 
   PrunedChainEngine(std::size_t n, const LeafDistanceFn& leaf_distance,
@@ -498,14 +496,12 @@ class PrunedChainEngine {
     }
   }
 
-  /// Runs the chain to completion (eager_heights: every merge height is
-  /// resolved exactly as it forms — the full-dendrogram mode) or until the
-  /// early stop proves the rest of the tree is cut (to_cut_total > 0, the
-  /// fused-cut mode).
-  void run(std::size_t to_cut_total, bool eager_heights) {
+  /// Runs the chain to completion, or until the early stop proves the rest
+  /// of the tree is cut (possible only when to_cut_total > 0).
+  void run(std::size_t to_cut_total) {
     std::size_t next_check = std::numeric_limits<std::size_t>::max();
     while (remaining_ > 1) {
-      if (!eager_heights && to_cut_total > 0 && remaining_ - 1 <= to_cut_total &&
+      if (to_cut_total > 0 && remaining_ - 1 <= to_cut_total &&
           remaining_ <= next_check) {
         if (try_early_stop(to_cut_total)) break;
         // Not provable yet; back off geometrically so the bound sweep
@@ -525,7 +521,7 @@ class PrunedChainEngine {
         const std::size_t prev = chain_.size() >= 2 ? chain_[chain_.size() - 2] : n_;
         const std::size_t nearest = scan_and_select(top, prev);
         if (chain_.size() >= 2 && nearest == prev) {
-          merge_reciprocal(eager_heights);
+          merge_reciprocal();
           break;
         }
         chain_.push_back(nearest);
@@ -870,18 +866,13 @@ class PrunedChainEngine {
     return nearest;
   }
 
-  void merge_reciprocal(bool eager_heights) {
+  void merge_reciprocal() {
     const std::size_t a = chain_[chain_.size() - 2];
     const std::size_t b = chain_.back();
     chain_.pop_back();
     chain_.pop_back();
-    ChainMerge cm{node_id_[a], node_id_[b], 0.0,  0.0,
-                  false,       false,       size_[a] + size_[b]};
-    if (eager_heights) {
-      const double h = store_.resolve(cm.left, cm.right);
-      cm.lo = cm.hi = h;
-      cm.exact = true;
-    } else if (const double* hv = store_.lookup(cm.left, cm.right); hv != nullptr) {
+    ChainMerge cm{node_id_[a], node_id_[b], 0.0, 0.0, false};
+    if (const double* hv = store_.lookup(cm.left, cm.right); hv != nullptr) {
       cm.lo = cm.hi = *hv;
       cm.exact = true;
     } else {
@@ -983,7 +974,7 @@ class PrunedChainEngine {
         continue;
       }
       chain_merges_.push_back(
-          ChainMerge{cur, node_id_[s], future_lo, kInfD, false, true, 0});
+          ChainMerge{cur, node_id_[s], future_lo, kInfD, false, true});
       cur = n_ + chain_merges_.size() - 1;
     }
     return true;
@@ -1140,47 +1131,6 @@ class PrunedChainEngine {
 
 }  // namespace
 
-Dendrogram agglomerative_average_linkage_pruned(std::size_t n,
-                                                const LeafDistanceFn& leaf_distance,
-                                                const PruneFeatures& features,
-                                                PruneCounters* counters) {
-  return agglomerative_average_linkage_pruned(n, leaf_distance, features, PruneOptions{},
-                                              counters);
-}
-
-Dendrogram agglomerative_average_linkage_pruned(std::size_t n,
-                                                const LeafDistanceFn& leaf_distance,
-                                                const PruneFeatures& features,
-                                                const PruneOptions& options,
-                                                PruneCounters* counters) {
-  if (n == 0) throw util::ConfigError("clustering zero items");
-  if (n == 1) return Dendrogram(1, {});
-
-  PruneCounters local;
-  PruneCounters& c = counters != nullptr ? *counters : local;
-
-  // Eager-height mode: the chain runs with every elimination the fused-cut
-  // path has (a slot the upper bounds prove cannot win or tie a scan is
-  // never chosen by the dense comparator either), and each merge's height is
-  // resolved exactly as it forms — so the dendrogram below is bit-identical
-  // to the dense driver's, including merge order and tie behaviour.
-  PrunedChainEngine engine(n, leaf_distance, features, options, c);
-  engine.run(0, /*eager_heights=*/true);
-  std::vector<Merge> merges;
-  merges.reserve(n - 1);
-  for (const PrunedChainEngine::ChainMerge& m : engine.merges())
-    merges.push_back(Merge{m.left, m.right, m.lo, m.merged_size});
-  engine.finalize_timing();
-  return Dendrogram(n, sort_merges_by_height(std::move(merges), n));
-}
-
-std::vector<std::vector<std::size_t>> average_linkage_cut_pruned(
-    std::size_t n, const LeafDistanceFn& leaf_distance, const PruneFeatures& features,
-    double fraction, PruneCounters* counters) {
-  return average_linkage_cut_pruned(n, leaf_distance, features, fraction, PruneOptions{},
-                                    counters);
-}
-
 std::vector<std::vector<std::size_t>> average_linkage_cut_pruned(
     std::size_t n, const LeafDistanceFn& leaf_distance, const PruneFeatures& features,
     double fraction, const PruneOptions& options, PruneCounters* counters) {
@@ -1199,7 +1149,7 @@ std::vector<std::vector<std::size_t>> average_linkage_cut_pruned(
       static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(links_total)));
 
   PrunedChainEngine engine(n, leaf_distance, features, options, c);
-  engine.run(to_cut_total, /*eager_heights=*/false);
+  engine.run(to_cut_total);
   std::vector<PrunedChainEngine::ChainMerge>& chain_merges = engine.merges();
   ResolvedStore& store = engine.store();
   // --- Cut classification -------------------------------------------------

@@ -68,7 +68,7 @@ class Dendrogram {
 //
 // agglomerative_average_linkage needs every one of the n(n-1)/2 leaf
 // distances up front, which is the O(n²) exact-kernel wall. The pruned
-// variant runs the *same* nearest-neighbour-chain algorithm but resolves
+// driver runs the *same* nearest-neighbour-chain algorithm but resolves
 // distances lazily: every candidate in a nearest-neighbour scan is first
 // tested against a cheap admissible lower bound, and only candidates whose
 // bound could still win (or tie, under the chain's 1e-15 tolerance) pay for
@@ -76,9 +76,9 @@ class Dendrogram {
 // node id, and cluster-cluster values are replayed through the identical
 // Lance-Williams recurrence — same operand order, same rounding — so every
 // value the pruned run observes is bit-identical to the corresponding dense
-// matrix entry, and the returned dendrogram (merge pairs, heights, tie
-// behaviour) is bit-identical to the exhaustive run's. Exactness does not
-// depend on the quality of the bounds; bad bounds only cost speed.
+// matrix entry, and every merge it makes is the one the exhaustive run
+// makes (same pairs, same tie behaviour). Exactness does not depend on the
+// quality of the bounds; bad bounds only cost speed.
 // ---------------------------------------------------------------------------
 
 /// Leaf-level features backing the admissible cluster lower bounds. All
@@ -145,7 +145,7 @@ using BatchLeafFn = std::function<void(
 /// for cache retention) see batch-resolved values too.
 using LeafResolvedSink = std::function<void(std::size_t, std::size_t, double)>;
 
-/// Tuning knobs for the pruned drivers. Defaults reproduce the serial
+/// Tuning knobs for the pruned driver. Defaults reproduce the serial
 /// behaviour; none of the options can change a verdict — batch resolution
 /// may resolve *more* pairs than the serial gate (counters vary with
 /// `threads`), but every resolved value is exact, so merges, heights, and
@@ -159,35 +159,20 @@ struct PruneOptions {
   bool collect_timing = false;        // fill the phase-seconds counters
 };
 
-/// UPGMA over n leaves with lazy, lower-bound-gated distance resolution.
-/// Returns a dendrogram bit-identical to
-/// agglomerative_average_linkage(dense_matrix, n) where dense_matrix[i*n+j]
-/// = leaf_distance(i, j) — including merge order and tie resolution — while
-/// invoking leaf_distance only for pairs the bounds cannot exclude. Memory
-/// is O(resolved pairs), never O(n²). Throws util::ConfigError if n == 0.
-[[nodiscard]] Dendrogram agglomerative_average_linkage_pruned(
-    std::size_t n, const LeafDistanceFn& leaf_distance, const PruneFeatures& features,
-    PruneCounters* counters = nullptr);
-
-/// PruneOptions-aware overload (parallel batch resolution, phase timing).
-[[nodiscard]] Dendrogram agglomerative_average_linkage_pruned(
-    std::size_t n, const LeafDistanceFn& leaf_distance, const PruneFeatures& features,
-    const PruneOptions& options, PruneCounters* counters = nullptr);
-
 /// The sub-quadratic verdict path: UPGMA + cut_top_fraction fused, with
 /// deferred heights for the links the cut discards.
 ///
-/// agglomerative_average_linkage_pruned still pays quadratic kernel work on
-/// the top of the tree: a root-level merge height is the average of *every*
-/// cross leaf distance between its two sides, so producing the exact height
-/// of every merge forces nearly every far pair through the kernel. But the
-/// detector never reads those heights — cut_top_fraction deletes the
-/// ceil(fraction * (n-1)) heaviest links, and average linkage is monotone
-/// (d(A∪B, C) >= min(d(A,C), d(B,C)) >= d(A,B) when (A,B) is the minimal
-/// pair), so the cut links are precisely the ones whose exact heights the
-/// verdict ignores.
+/// A lazy driver that produced the full dendrogram would still pay
+/// quadratic kernel work on the top of the tree: a root-level merge height
+/// is the average of *every* cross leaf distance between its two sides, so
+/// producing the exact height of every merge forces nearly every far pair
+/// through the kernel. But the detector never reads those heights —
+/// cut_top_fraction deletes the ceil(fraction * (n-1)) heaviest links, and
+/// average linkage is monotone (d(A∪B, C) >= min(d(A,C), d(B,C)) >= d(A,B)
+/// when (A,B) is the minimal pair), so the cut links are precisely the ones
+/// whose exact heights the verdict ignores.
 ///
-/// This driver therefore runs the same lazy nearest-neighbour chain but:
+/// This driver therefore runs the lazy nearest-neighbour chain but:
 ///  * eliminates scan candidates with an *upper* bound too (min over pivots
 ///    of mean_A(p) + mean_B(p) >= avg-linkage distance), so a scan whose
 ///    survivors reduce to one slot picks its nearest neighbour without
@@ -200,17 +185,14 @@ struct PruneOptions {
 ///    height is never computed; a pending link that straddles the boundary
 ///    is resolved exactly (correctness never depends on bound quality).
 ///
-/// Returns exactly Dendrogram::cut_top_fraction(fraction)'s components for
-/// the dendrogram the exhaustive path would have built — same groups, same
-/// ordering, same tie behaviour at the cut boundary. Throws util::ConfigError
-/// if n == 0 or fraction is outside [0, 1].
+/// leaf_distance(i, j), i < j, must return what the dense matrix entry
+/// would hold; memory is O(resolved pairs), never O(n²). Returns exactly
+/// Dendrogram::cut_top_fraction(fraction)'s components for the dendrogram
+/// agglomerative_average_linkage(dense_matrix, n) builds — same groups, same
+/// ordering, same tie behaviour at the cut boundary. Throws
+/// util::ConfigError if n == 0 or fraction is outside [0, 1].
 [[nodiscard]] std::vector<std::vector<std::size_t>> average_linkage_cut_pruned(
     std::size_t n, const LeafDistanceFn& leaf_distance, const PruneFeatures& features,
-    double fraction, PruneCounters* counters = nullptr);
-
-/// PruneOptions-aware overload (parallel batch resolution, phase timing).
-[[nodiscard]] std::vector<std::vector<std::size_t>> average_linkage_cut_pruned(
-    std::size_t n, const LeafDistanceFn& leaf_distance, const PruneFeatures& features,
-    double fraction, const PruneOptions& options, PruneCounters* counters = nullptr);
+    double fraction, const PruneOptions& options = {}, PruneCounters* counters = nullptr);
 
 }  // namespace tradeplot::stats

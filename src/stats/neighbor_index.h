@@ -26,7 +26,7 @@
 //    EMD kernel (see stats/simd.h).
 //
 // The index never affects values, only which pairs pay the exact kernel —
-// see agglomerative_average_linkage_pruned for the exactness contract.
+// see average_linkage_cut_pruned for the exactness contract.
 #pragma once
 
 #include <cstddef>

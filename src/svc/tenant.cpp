@@ -253,12 +253,8 @@ bool Tenant::update(const TenantParams& fresh) {
 }
 
 void Tenant::save_checkpoint() {
-  const std::string path = checkpoint_path();
-  const std::string tmp = path + ".tmp";
   try {
-    detector_->save_checkpoint_file(tmp);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-      throw util::IoError("rename " + tmp + " -> " + path);
+    detector_->save_checkpoint_file(checkpoint_path());
     checkpoints_.fetch_add(1, std::memory_order_relaxed);
     if (auto* c = tenant_counter("tradeplot_svc_checkpoints_total",
                                  "Checkpoints written per tenant", params_.name))
@@ -267,7 +263,6 @@ void Tenant::save_checkpoint() {
     // A failed checkpoint narrows the durability window but must not stop
     // ingestion; the failure is visible in stats and metrics.
     checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-    std::remove(tmp.c_str());
     std::fprintf(stderr, "[svc] tenant %s: checkpoint failed: %s\n", params_.name.c_str(),
                  e.what());
   }

@@ -223,13 +223,15 @@ TEST(HmPrune, PhaseTimingFieldsFollowCollectFlag) {
 
 TEST(HmPrune, AutoSwitchesAtPruneMinHosts) {
   util::Pcg32 rng(0x9A14);
-  const Population small = random_population(rng, 20);
-  const Population large = random_population(rng, 70);
+  const Population small = random_population(rng, kHmPruneMinHosts - 1);
+  const Population large = random_population(rng, kHmPruneMinHosts);
   HumanMachineConfig config;
   config.min_samples = 10;
-  config.prune_min_hosts = 64;
   const HumanMachineResult below = human_machine_test(small.features, small.input, config);
   const HumanMachineResult above = human_machine_test(large.features, large.input, config);
+  // Every host is eligible, so the engines switch exactly at the constant.
+  EXPECT_EQ(below.prune.pairs_total, (kHmPruneMinHosts - 1) * (kHmPruneMinHosts - 2) / 2);
+  EXPECT_EQ(above.prune.pairs_total, kHmPruneMinHosts * (kHmPruneMinHosts - 1) / 2);
   EXPECT_FALSE(below.prune.used);
   EXPECT_TRUE(above.prune.used);
   EXPECT_GT(above.prune.skipped_pivot + above.prune.skipped_grid, 0u);
@@ -310,6 +312,46 @@ TEST(HmPrune, CachedPrunedWindowMatchesCachedExhaustiveWindow) {
   const HumanMachineResult warm_exhaustive =
       human_machine_test(pop.features, pop.input, exhaustive, &exhaustive_cache);
   expect_same_result(warm_pruned, warm_exhaustive);
+}
+
+TEST(HmPrune, OneCacheServesBothEngines) {
+  // Both engines resolve and retain leaf distances through the same
+  // resolver, so a cache left by one engine serves the other: window 1 on
+  // one engine, window 2 (one host changed) on the other, in both orders.
+  // Each window equals its cache-off run, and the cache books exactly the
+  // pairs the window resolved.
+  util::Pcg32 rng(0x9A1A);
+  const Population first_window = random_population(rng, 70);
+  Population second_window = first_window;
+  second_window.features.at(host(5)).interstitials.push_back(42.0);
+  for (const bool dense_first : {true, false}) {
+    SCOPED_TRACE(dense_first ? "dense then pruned" : "pruned then dense");
+    HumanMachineConfig first;
+    first.min_samples = 10;
+    first.pruning = dense_first ? HmPruning::kExhaustive : HmPruning::kPruned;
+    HumanMachineConfig second = first;
+    second.pruning = dense_first ? HmPruning::kPruned : HmPruning::kExhaustive;
+    HmCache cache;
+    std::uint64_t booked = 0;
+    const auto newly_booked = [&] {
+      const std::uint64_t total = cache.distances_computed + cache.distances_reused;
+      const std::uint64_t delta = total - booked;
+      booked = total;
+      return delta;
+    };
+
+    const HumanMachineResult w1 =
+        human_machine_test(first_window.features, first_window.input, first, &cache);
+    expect_same_result(w1, human_machine_test(first_window.features, first_window.input, first));
+    EXPECT_EQ(newly_booked(), w1.prune.resolved_pairs);
+
+    const HumanMachineResult w2 =
+        human_machine_test(second_window.features, second_window.input, second, &cache);
+    expect_same_result(w2,
+                       human_machine_test(second_window.features, second_window.input, second));
+    EXPECT_EQ(newly_booked(), w2.prune.resolved_pairs);
+    EXPECT_GT(w2.prune.cache_hits, 0u);
+  }
 }
 
 }  // namespace

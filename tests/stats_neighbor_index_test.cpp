@@ -117,21 +117,10 @@ TEST(NeighborIndex, DegenerateShapesStaySane) {
   EXPECT_LE(index_same.lower_bound(0, 5), 0.0);
 }
 
-void expect_same_dendrogram(const Dendrogram& got, const Dendrogram& want) {
-  ASSERT_EQ(got.leaf_count(), want.leaf_count());
-  ASSERT_EQ(got.merges().size(), want.merges().size());
-  for (std::size_t m = 0; m < want.merges().size(); ++m) {
-    EXPECT_EQ(got.merges()[m].left, want.merges()[m].left) << "merge " << m;
-    EXPECT_EQ(got.merges()[m].right, want.merges()[m].right) << "merge " << m;
-    EXPECT_EQ(got.merges()[m].size, want.merges()[m].size) << "merge " << m;
-    const double gh = got.merges()[m].height;
-    const double wh = want.merges()[m].height;
-    EXPECT_EQ(std::memcmp(&gh, &wh, sizeof gh), 0)
-        << "merge " << m << ": " << gh << " vs " << wh;
-  }
-}
+// The paper's 5% cut, the detector's default 25%, and a deeper cut.
+constexpr double kCutFractions[] = {0.05, 0.25, 0.3};
 
-TEST(PrunedLinkage, DendrogramBitIdenticalToDense) {
+TEST(PrunedCut, GroupsMatchDenseCutAtEverySize) {
   util::Pcg32 rng(0x1DF3);
   for (const std::size_t n : {2u, 3u, 17u, 60u, 120u}) {
     const std::vector<Signature> sigs = mixed_population(rng, n);
@@ -143,33 +132,39 @@ TEST(PrunedLinkage, DendrogramBitIdenticalToDense) {
         n, [&](std::size_t i, std::size_t j) { return emd_1d_presorted(flat.view(i), flat.view(j)); },
         8, 1);
     index.build_grid(flat, 64, 1);
-    PruneCounters counters;
-    const Dendrogram pruned = agglomerative_average_linkage_pruned(
-        n, [&](std::size_t i, std::size_t j) { return matrix[i * n + j]; }, index.features(),
-        &counters);
-    expect_same_dendrogram(pruned, dense);
-    if (n >= 60) {
-      EXPECT_GT(counters.skipped_pivot + counters.skipped_grid, 0u) << "n=" << n;
+    for (const double fraction : kCutFractions) {
+      PruneCounters counters;
+      const auto got = average_linkage_cut_pruned(
+          n, [&](std::size_t i, std::size_t j) { return matrix[i * n + j]; }, index.features(),
+          fraction, {}, &counters);
+      EXPECT_EQ(got, dense.cut_top_fraction(fraction)) << "n=" << n << " fraction=" << fraction;
+      if (n >= 60) {
+        EXPECT_GT(counters.skipped_pivot + counters.skipped_grid, 0u)
+            << "n=" << n << " fraction=" << fraction;
+      }
     }
   }
 }
 
-TEST(PrunedLinkage, ExactWithNoFeaturesAtAll) {
+TEST(PrunedCut, ExactWithNoFeaturesAtAll) {
   // Empty PruneFeatures: every bound is vacuous, nothing is skipped, and the
-  // driver degrades to a lazy but complete NN-chain — still bit-identical.
+  // driver degrades to a lazy but complete NN-chain — still exact.
   util::Pcg32 rng(0x1DF4);
   const std::size_t n = 24;
   const std::vector<Signature> sigs = mixed_population(rng, n);
   const FlatSignatureSet flat(sigs, 1);
   const std::vector<double> matrix = dense_matrix(flat);
   const Dendrogram dense = agglomerative_average_linkage(matrix, n);
-  PruneCounters counters;
-  const Dendrogram pruned = agglomerative_average_linkage_pruned(
-      n, [&](std::size_t i, std::size_t j) { return matrix[i * n + j]; }, PruneFeatures{},
-      &counters);
-  expect_same_dendrogram(pruned, dense);
-  EXPECT_EQ(counters.skipped_pivot, 0u);
-  EXPECT_EQ(counters.skipped_grid, 0u);
+  for (const double fraction : kCutFractions) {
+    PruneCounters counters;
+    EXPECT_EQ(average_linkage_cut_pruned(
+                  n, [&](std::size_t i, std::size_t j) { return matrix[i * n + j]; },
+                  PruneFeatures{}, fraction, {}, &counters),
+              dense.cut_top_fraction(fraction))
+        << "fraction=" << fraction;
+    EXPECT_EQ(counters.skipped_pivot, 0u);
+    EXPECT_EQ(counters.skipped_grid, 0u);
+  }
 }
 
 TEST(PrunedCut, GroupsMatchDenseCutAcrossFractionsAndSeeds) {
@@ -194,7 +189,7 @@ TEST(PrunedCut, GroupsMatchDenseCutAcrossFractionsAndSeeds) {
         PruneCounters counters;
         const auto got = average_linkage_cut_pruned(
             n, [&](std::size_t i, std::size_t j) { return matrix[i * n + j]; },
-            index.features(), fraction, &counters);
+            index.features(), fraction, {}, &counters);
         const auto want = dense.cut_top_fraction(fraction);
         ASSERT_EQ(got, want) << "seed=" << seed << " n=" << n << " fraction=" << fraction;
       }
@@ -222,11 +217,11 @@ TEST(PrunedCut, WorksWithoutFeaturesAndRejectsBadInput) {
                util::ConfigError);
 }
 
-TEST(PrunedLinkage, BatchResolutionKeepsDendrogramBitIdentical) {
+TEST(PrunedCut, BatchResolutionKeepsGroupsIdentical) {
   // The gated-lookahead batch path (PruneOptions::batch_leaf) may resolve
   // more pairs than the strict serial gate, but every value is exact, so the
-  // dendrogram must match the dense reference bit-for-bit — at every worker
-  // count, with the observer seeing each batch-resolved pair exactly once.
+  // groups must match the dense cut — at every worker count, with the
+  // observer seeing each batch-resolved pair exactly once and bit-exact.
   util::Pcg32 rng(0x1DF5);
   for (const std::size_t n : {17u, 60u, 120u}) {
     const std::vector<Signature> sigs = mixed_population(rng, n);
@@ -238,24 +233,26 @@ TEST(PrunedLinkage, BatchResolutionKeepsDendrogramBitIdentical) {
         8, 1);
     index.build_grid(flat, 64, 1);
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      PruneOptions options;
-      options.threads = threads;
-      std::size_t observed = 0;
-      options.batch_leaf = [&](std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
-                               double* out) {
-        for (std::size_t k = 0; k < pairs.size(); ++k)
-          out[k] = matrix[pairs[k].first * n + pairs[k].second];
-      };
-      options.on_leaf_resolved = [&](std::size_t i, std::size_t j, double v) {
-        ++observed;
-        EXPECT_EQ(std::memcmp(&v, &matrix[i * n + j], sizeof v), 0) << i << "," << j;
-      };
-      PruneCounters counters;
-      const Dendrogram pruned = agglomerative_average_linkage_pruned(
-          n, [&](std::size_t i, std::size_t j) { return matrix[i * n + j]; }, index.features(),
-          options, &counters);
-      SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads);
-      expect_same_dendrogram(pruned, dense);
+      for (const double fraction : kCutFractions) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " threads=" << threads << " fraction=" << fraction);
+        PruneOptions options;
+        options.threads = threads;
+        options.batch_leaf = [&](std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
+                                 double* out) {
+          for (std::size_t k = 0; k < pairs.size(); ++k)
+            out[k] = matrix[pairs[k].first * n + pairs[k].second];
+        };
+        std::vector<char> observed(n * n, 0);
+        options.on_leaf_resolved = [&](std::size_t i, std::size_t j, double v) {
+          EXPECT_EQ(observed[i * n + j]++, 0) << i << "," << j << " observed twice";
+          EXPECT_EQ(std::memcmp(&v, &matrix[i * n + j], sizeof v), 0) << i << "," << j;
+        };
+        EXPECT_EQ(average_linkage_cut_pruned(
+                      n, [&](std::size_t i, std::size_t j) { return matrix[i * n + j]; },
+                      index.features(), fraction, options),
+                  dense.cut_top_fraction(fraction));
+      }
     }
   }
 }

@@ -598,7 +598,8 @@ TEST(Daemon, OldFormatCheckpointIsQuarantinedAndServiceStartsFresh) {
     cfg.window = 60.0;
     cfg.is_internal = detect::default_internal_predicate;
     detect::StreamingDetector det(cfg, [](const detect::WindowVerdict&) {});
-    for (const netflow::FlowRecord& r : make_trace(300, 30.0).flows()) det.ingest(r);
+    const netflow::TraceSet trace = make_trace(300, 30.0);
+    for (const netflow::FlowRecord& r : trace.flows()) det.ingest(r);
     std::ostringstream out;
     det.save_checkpoint(out);
     image = out.str();

@@ -64,11 +64,11 @@ class HmCache {
   [[nodiscard]] static std::uint64_t pair_key(simnet::Ipv4 a, simnet::Ipv4 b);
 
   /// Probe gate for `distances`: false guarantees the key is absent, so the
-  /// hash-map find can be skipped entirely. In a partially warm window the
-  /// pruned stage probes far more never-cached pairs (changed hosts' rows,
-  /// newly arrived hosts) than cached ones, and each map miss still walks a
-  /// bucket. False positives just fall through to the find — they can never
-  /// change what is served.
+  /// hash-map find can be skipped entirely. The dense distance fill probes
+  /// every pair of every cached window, and in a partially warm window many
+  /// of those pairs (changed hosts' rows, newly arrived hosts) were never
+  /// cached; each map miss would still walk a bucket. False positives just
+  /// fall through to the find — they can never change what is served.
   [[nodiscard]] bool distance_maybe_cached(std::uint64_t key) const {
     return distance_filter_.maybe_contains(key);
   }

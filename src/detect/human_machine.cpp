@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -21,9 +18,7 @@
 #include "stats/flat_signature.h"
 #include "stats/hcluster.h"
 #include "stats/histogram.h"
-#include "stats/neighbor_index.h"
 #include "util/error.h"
-#include "util/flat_map.h"
 #include "util/parallel.h"
 
 namespace tradeplot::detect {
@@ -55,24 +50,6 @@ struct HmObs {
   obs::Counter& dense_matrix = obs::Registry::global().counter(
       "tradeplot_hm_dense_matrix_total",
       "dense n x n distance matrices allocated by theta_hm");
-  obs::Counter& prune_exact = obs::Registry::global().counter(
-      "tradeplot_hm_prune_pairs_total",
-      "theta_hm pruned-path pair evaluations, by outcome", {{"op", "exact"}});
-  obs::Counter& prune_skipped_pivot = obs::Registry::global().counter(
-      "tradeplot_hm_prune_pairs_total",
-      "theta_hm pruned-path pair evaluations, by outcome", {{"op", "skipped_pivot"}});
-  obs::Counter& prune_skipped_grid = obs::Registry::global().counter(
-      "tradeplot_hm_prune_pairs_total",
-      "theta_hm pruned-path pair evaluations, by outcome", {{"op", "skipped_grid"}});
-  // Clustering-engine work counters, exported per run so operators can watch
-  // the pruned path's economics (how much of the pair space was paid for)
-  // drift as traffic changes.
-  obs::Counter& cluster_scan_cache_hits = obs::Registry::global().counter(
-      "tradeplot_cluster_scan_cache_hits_total",
-      "theta_hm NN scans served by the chain-local candidate cache");
-  obs::Counter& cluster_bloom_skips = obs::Registry::global().counter(
-      "tradeplot_cluster_bloom_skips_total",
-      "theta_hm memo probes skipped by the Bloom gate");
   obs::Counter& cluster_exact_evals = obs::Registry::global().counter(
       "tradeplot_cluster_exact_evals_total",
       "theta_hm exact kernel evaluations by the clustering engine");
@@ -236,24 +213,18 @@ double bin_l1_grid(const HumanMachineConfig& config) {
   return config.fixed_bin_width > 0.0 ? config.fixed_bin_width : 60.0;
 }
 
-/// The one source of θ_hm leaf distances, for both clustering engines: the
-/// cross-window HmCache first (a pair is served when both hosts' content
-/// hashes still match its entry), then the flat kernels — the 4-lane EMD
-/// sweep in blocks of four (per-lane bit-identical to the scalar kernel),
-/// the scalar kernel for the tail, or the bin-L1 sweep. Every pair is
-/// evaluated as (low, high) leaf index: the EMD merge sweep is not bitwise
-/// symmetric under tied positions, so one operand order keeps every value
-/// bit-identical whichever engine or thread count asked for it.
+/// The one source of θ_hm leaf distances: the cross-window HmCache first (a
+/// pair is served when both hosts' content hashes still match its entry),
+/// then the flat kernels — the 4-lane EMD sweep in blocks of four (per-lane
+/// bit-identical to the scalar kernel), the scalar kernel for the tail, or
+/// the bin-L1 sweep. Every pair is evaluated as (low, high) leaf index: the
+/// EMD merge sweep is not bitwise symmetric under tied positions, so one
+/// operand order keeps every value bit-identical at every thread count.
 ///
-///  * Dense engine: resolve_all() fills the n×n matrix.
-///  * Pruned engine: build_index() adds the pruned-neighbor index, and the
-///    fused clustering driver resolves pairs on demand into a sparse memo
-///    (O(resolved pairs) memory — a fully cache-warm window runs zero
-///    kernel evaluations and never allocates quadratic storage).
-///
-/// retain_into_cache() then keeps exactly the pairs this window resolved
-/// (one-window retention bounds the cache, and its checkpoint image, by the
-/// last window's size) and books the HmCache counters.
+/// resolve_all() fills the n×n matrix; retain_into_cache() then keeps exactly
+/// this window's pairs (one-window retention bounds the cache, and its
+/// checkpoint image, by the last window's size) and books the HmCache
+/// counters.
 class LeafResolver {
  public:
   LeafResolver(const std::vector<stats::Signature>& signatures,
@@ -261,8 +232,7 @@ class LeafResolver {
                const std::vector<std::uint64_t>& hashes, const HumanMachineConfig& config,
                HmCache* cache)
       : hosts_(hosts), hashes_(hashes), cache_(cache),
-        threads_(util::resolve_threads(config.threads)),
-        collect_timing_(config.collect_phase_timing) {
+        threads_(util::resolve_threads(config.threads)) {
     if (config.distance == HmDistance::kBinL1) {
       bins_.emplace(signatures, bin_l1_grid(config), config.threads);
     } else {
@@ -270,11 +240,11 @@ class LeafResolver {
     }
   }
 
-  /// Dense engine: every pair into a row-major n×n matrix, filled in 32×32
-  /// tiles of the upper triangle on the pool. Each tile task probes the
-  /// cache for its pairs (thread-safe; skipped without a cache), runs its
-  /// cold pairs row by row through four-lane blocks, and writes each value
-  /// and its mirror; only tile edges share a cache line between tasks.
+  /// Every pair into a row-major n×n matrix, filled in 32×32 tiles of the
+  /// upper triangle on the pool. Each tile task probes the cache for its
+  /// pairs (thread-safe; skipped without a cache), runs its cold pairs row by
+  /// row through four-lane blocks, and writes each value and its mirror; only
+  /// tile edges share a cache line between tasks.
   [[nodiscard]] const std::vector<double>& resolve_all() {
     const std::size_t n = hosts_.size();
     matrix_.assign(n * n, 0.0);
@@ -312,166 +282,29 @@ class LeafResolver {
     return matrix_;
   }
 
-  /// Pruned engine: builds the neighbor index and seeds the memo with its
-  /// pivot columns (the NN-chain and the diameter pass re-ask for many
-  /// leaf-pivot pairs).
-  void build_index(const HumanMachineConfig& config) {
-    const std::size_t n = hosts_.size();
-    // Pivot columns are filled with parallel_for: exact_pair is pure (cache
-    // reads only, atomic counters), so the index is thread-count invariant.
-    const auto index_start = collect_timing_ ? std::chrono::steady_clock::now()
-                                             : std::chrono::steady_clock::time_point{};
-    {
-      const obs::StageTimer index_timer(obs::Stage::kPruneIndex);
-      index_.emplace(
-          n, [this](std::size_t i, std::size_t j) { return exact_pair(i, j); },
-          config.prune_pivots, config.threads);
-      if (config.distance != HmDistance::kBinL1 && config.prune_grid_bins > 0) {
-        index_->build_grid(*flat_, config.prune_grid_bins, config.threads);
-      }
-    }
-    if (collect_timing_) {
-      pivot_build_seconds_ =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - index_start)
-              .count();
-    }
-    const std::size_t p_count = index_->pivot_count();
-    leaf_memo_.reserve(n * p_count);
-    for (std::size_t p = 0; p < p_count; ++p) {
-      const std::size_t pivot = index_->pivot_leaves()[p];
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i != pivot)
-          leaf_memo_.insert(pair_slot(i, pivot), index_->pivot_distances()[i * p_count + p]);
-      }
-    }
-  }
-
-  /// Memoized exact leaf distance; serial (clustering driver only).
-  double leaf_distance(std::size_t i, std::size_t j) {
-    const std::uint64_t slot = pair_slot(i, j);
-    if (const double* hit = leaf_memo_.find(slot); hit != nullptr) return *hit;
-    const double v = exact_pair(i, j);
-    leaf_memo_.insert(slot, v);
-    return v;
-  }
-
-  /// Batch resolution of distinct (min, max) leaf pairs on the thread pool:
-  /// cache hits in a serial probe pass, the cold pairs in parallel blocks
-  /// of four. Every index writes one disjoint out slot, so out[] is
-  /// bit-identical to a serial exact_pair loop at every thread count. Does
-  /// NOT touch leaf_memo_ (not thread-safe); the engine reports each
-  /// resolution back serially through on_leaf_resolved.
-  void batch_eval(std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
-                  double* out) {
-    cold_pairs_.clear();
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-      double v = 0.0;
-      if (cache_probe(pairs[k].first, pairs[k].second, v)) {
-        out[k] = v;
-      } else {
-        cold_pairs_.push_back(k);
-      }
-    }
-    if (cold_pairs_.empty()) return;
-    kernel_evals_.fetch_add(cold_pairs_.size(), std::memory_order_relaxed);
-    const std::size_t blocks = (cold_pairs_.size() + 3) / 4;
-    util::parallel_for(0, blocks, 1, threads_, [&](std::size_t blk) {
-      const std::size_t begin = blk * 4;
-      const std::size_t lanes = std::min<std::size_t>(4, cold_pairs_.size() - begin);
-      std::size_t a4[4], b4[4];
-      double out4[4];
-      for (std::size_t l = 0; l < lanes; ++l) {
-        a4[l] = pairs[cold_pairs_[begin + l]].first;
-        b4[l] = pairs[cold_pairs_[begin + l]].second;
-      }
-      eval_block(a4, b4, lanes, out4);
-      for (std::size_t l = 0; l < lanes; ++l) out[cold_pairs_[begin + l]] = out4[l];
-    });
-  }
-
-  /// Options handed to the fused clustering driver: batch resolution on
-  /// this resolver's pool, resolutions mirrored into the memo (so retention
-  /// and the diameter pass see batch values too), phase timing per config.
-  [[nodiscard]] stats::PruneOptions prune_options() {
-    stats::PruneOptions opts;
-    opts.threads = threads_;
-    opts.batch_leaf = [this](std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
-                             double* out) { batch_eval(pairs, out); };
-    opts.on_leaf_resolved = [this](std::size_t i, std::size_t j, double v) {
-      leaf_memo_.insert(pair_slot(i, j), v);
-    };
-    opts.collect_timing = collect_timing_;
-    return opts;
-  }
-
-  /// Max pairwise distance within `group` (ascending leaf indices). The
-  /// clustering run has already resolved most pairs inside a tight cluster,
-  /// so probe the memo first and batch-evaluate only the missing pairs. Max
-  /// over the same exact values the serial leaf_distance loop would take —
-  /// identical result.
-  double group_diameter(std::span<const std::size_t> group) {
-    double diameter = 0.0;
-    diameter_missing_.clear();
-    for (std::size_t a = 0; a < group.size(); ++a) {
-      for (std::size_t b = a + 1; b < group.size(); ++b) {
-        const double* hit = leaf_memo_.find(pair_slot(group[a], group[b]));
-        if (hit != nullptr) {
-          diameter = std::max(diameter, *hit);
-        } else {
-          diameter_missing_.emplace_back(
-              static_cast<std::uint32_t>(std::min(group[a], group[b])),
-              static_cast<std::uint32_t>(std::max(group[a], group[b])));
-        }
-      }
-    }
-    if (!diameter_missing_.empty()) {
-      std::vector<double> values(diameter_missing_.size());
-      batch_eval(diameter_missing_, values.data());
-      for (std::size_t k = 0; k < diameter_missing_.size(); ++k) {
-        leaf_memo_.insert(pair_slot(diameter_missing_[k].first, diameter_missing_[k].second),
-                          values[k]);
-        diameter = std::max(diameter, values[k]);
-      }
-    }
-    return diameter;
-  }
-
-  [[nodiscard]] double pivot_build_seconds() const { return pivot_build_seconds_; }
-  [[nodiscard]] stats::PruneFeatures features() const { return index_->features(); }
-  [[nodiscard]] std::size_t pivot_count() const { return index_->pivot_count(); }
   [[nodiscard]] std::uint64_t kernel_evals() const {
     return kernel_evals_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t resolved_pairs() const {
-    const std::uint64_t n = hosts_.size();
-    return matrix_.empty() ? leaf_memo_.size() : n * (n - 1) / 2;
-  }
 
-  /// One-window retention of exactly the resolved pairs — the matrix's
-  /// upper triangle or the memo — so the next warm window's pairs become
-  /// pure cache hits; books this window's HmCache counters.
+  /// One-window retention of the matrix's upper triangle, so the next warm
+  /// window's pairs become pure cache hits; books this window's HmCache
+  /// counters.
   void retain_into_cache() {
     if (cache_ == nullptr) return;
+    const std::size_t n = hosts_.size();
     std::unordered_map<std::uint64_t, HmCache::DistanceEntry> retained;
-    retained.reserve(resolved_pairs());
-    const auto retain = [&](std::size_t i, std::size_t j, double distance) {
-      const bool i_low = hosts_[i].value() < hosts_[j].value();
-      retained.emplace(HmCache::pair_key(hosts_[i], hosts_[j]),
-                       HmCache::DistanceEntry{i_low ? hashes_[i] : hashes_[j],
-                                              i_low ? hashes_[j] : hashes_[i], distance});
-    };
-    if (!matrix_.empty()) {
-      const std::size_t n = hosts_.size();
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = i + 1; j < n; ++j) retain(i, j, matrix_[i * n + j]);
-    } else {
-      leaf_memo_.for_each([&](std::uint64_t slot, double distance) {
-        retain(static_cast<std::size_t>(slot >> 32),
-               static_cast<std::size_t>(slot & 0xffffffffu), distance);
-      });
+    retained.reserve(n * (n - 1) / 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const bool i_low = hosts_[i].value() < hosts_[j].value();
+        retained.emplace(HmCache::pair_key(hosts_[i], hosts_[j]),
+                         HmCache::DistanceEntry{i_low ? hashes_[i] : hashes_[j],
+                                                i_low ? hashes_[j] : hashes_[i],
+                                                matrix_[i * n + j]});
+      }
     }
     cache_->distances = std::move(retained);
     cache_->rebuild_distance_filter();
@@ -480,12 +313,6 @@ class LeafResolver {
   }
 
  private:
-  static std::uint64_t pair_slot(std::size_t i, std::size_t j) {
-    const std::uint64_t lo = std::min(i, j);
-    const std::uint64_t hi = std::max(i, j);
-    return (lo << 32) | hi;
-  }
-
   /// Cross-window cache probe (thread-safe: map reads only, atomic counter).
   /// True and fills `v` when the cached value's content hashes still match.
   bool cache_probe(std::size_t i, std::size_t j, double& v) {
@@ -511,14 +338,6 @@ class LeafResolver {
     return bins_ ? bins_->l1(a, b) : stats::emd_1d_presorted(flat_->view(a), flat_->view(b));
   }
 
-  /// Pure, thread-safe exact pair distance: cache first, then the kernel.
-  double exact_pair(std::size_t i, std::size_t j) {
-    double cached = 0.0;
-    if (cache_probe(i, j, cached)) return cached;
-    kernel_evals_.fetch_add(1, std::memory_order_relaxed);
-    return kernel(std::min(i, j), std::max(i, j));
-  }
-
   /// Exact distances of `lanes` (a[l], b[l]) pairs, a[l] < b[l], lanes <= 4:
   /// one 4-lane EMD sweep for a full EMD block, the scalar kernel otherwise.
   void eval_block(const std::size_t* a, const std::size_t* b, std::size_t lanes,
@@ -534,16 +353,9 @@ class LeafResolver {
   const std::vector<std::uint64_t>& hashes_;
   HmCache* cache_;
   std::size_t threads_;
-  bool collect_timing_;
-  double pivot_build_seconds_ = 0.0;
   std::optional<FlatBinSet> bins_;
   std::optional<stats::FlatSignatureSet> flat_;
-  std::vector<double> matrix_;                  // dense engine: n×n
-  std::optional<stats::NeighborIndex> index_;   // pruned engine
-  util::Flat64Map leaf_memo_;                   // pruned engine: (min<<32)|max -> exact
-  // Scratch for batch_eval / group_diameter (serial entry points).
-  std::vector<std::size_t> cold_pairs_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> diameter_missing_;
+  std::vector<double> matrix_;  // n×n
   std::atomic<std::uint64_t> kernel_evals_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
 };
@@ -738,79 +550,31 @@ HumanMachineResult human_machine_test(const FeatureMap& features, const HostSet&
 
   const std::size_t n = hosts.size();
   result.prune.pairs_total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  const bool use_pruned = config.pruning == HmPruning::kPruned ||
-                          (config.pruning == HmPruning::kAuto && n >= kHmPruneMinHosts);
 
   LeafResolver resolver(signatures, hosts, hashes, config, cache);
+  if (obs::enabled()) HmObs::get().dense_matrix.add(1);
+  const std::vector<double>& distances = [&]() -> const std::vector<double>& {
+    const obs::StageTimer dist_timer(obs::Stage::kPairwiseDistance);
+    return resolver.resolve_all();
+  }();
+  const auto groups = [&] {
+    const obs::StageTimer cluster_timer(obs::Stage::kClustering);
+    const stats::Dendrogram dendrogram = stats::agglomerative_average_linkage(distances, n);
+    return dendrogram.cut_top_fraction(config.cut_fraction);
+  }();
   std::vector<double> diameters;
-  const auto add_cluster = [&](const std::vector<std::size_t>& group, double diameter) {
+  for (const auto& group : groups) {
+    if (group.size() < config.min_cluster_size) continue;
     HostCluster cluster;
     for (const std::size_t idx : group) cluster.members.push_back(hosts[idx]);
-    cluster.diameter = diameter;
-    diameters.push_back(diameter);
+    cluster.diameter = stats::cluster_diameter(distances, n, group);
+    diameters.push_back(cluster.diameter);
     result.clusters.push_back(std::move(cluster));
-  };
-  if (use_pruned) {
-    // No dense matrix is ever allocated: exact distances resolve lazily, and
-    // the clustering driver prunes candidates with the index's admissible
-    // lower bounds and is bit-identical to the dense engine by construction.
-    resolver.build_index(config);
-    stats::PruneCounters counters;
-    const auto groups = [&] {
-      const obs::StageTimer cluster_timer(obs::Stage::kClustering);
-      // Fused UPGMA + cut: the heights of cut (far) links are never
-      // resolved exactly, which is what keeps the kernel count sub-quadratic
-      // — a full dendrogram's top merge heights would need nearly every far
-      // pair (see stats::average_linkage_cut_pruned).
-      return stats::average_linkage_cut_pruned(
-          n, [&resolver](std::size_t i, std::size_t j) { return resolver.leaf_distance(i, j); },
-          resolver.features(), config.cut_fraction, resolver.prune_options(), &counters);
-    }();
-    for (const auto& group : groups) {
-      if (group.size() >= config.min_cluster_size)
-        add_cluster(group, resolver.group_diameter(group));
-    }
-
-    result.prune.used = true;
-    result.prune.pivots = resolver.pivot_count();
-    result.prune.scanned = counters.scanned;
-    result.prune.skipped_pivot = counters.skipped_pivot;
-    result.prune.skipped_grid = counters.skipped_grid;
-    result.prune.scan_cache_hits = counters.scan_cache_hits;
-    result.prune.bloom_skips = counters.bloom_skips;
-    result.prune.pivot_build_ms = resolver.pivot_build_seconds() * 1e3;
-    result.prune.bound_scan_ms = counters.bound_scan_seconds * 1e3;
-    result.prune.exact_eval_ms = counters.exact_eval_seconds * 1e3;
-    result.prune.replay_ms = counters.replay_seconds * 1e3;
-    if (obs::enabled()) {
-      HmObs& o = HmObs::get();
-      o.prune_exact.add(resolver.kernel_evals());
-      o.prune_skipped_pivot.add(counters.skipped_pivot);
-      o.prune_skipped_grid.add(counters.skipped_grid);
-      o.cluster_scan_cache_hits.add(counters.scan_cache_hits);
-      o.cluster_bloom_skips.add(counters.bloom_skips);
-    }
-  } else {
-    if (obs::enabled()) HmObs::get().dense_matrix.add(1);
-    const std::vector<double>& distances = [&]() -> const std::vector<double>& {
-      const obs::StageTimer dist_timer(obs::Stage::kPairwiseDistance);
-      return resolver.resolve_all();
-    }();
-    const auto groups = [&] {
-      const obs::StageTimer cluster_timer(obs::Stage::kClustering);
-      const stats::Dendrogram dendrogram = stats::agglomerative_average_linkage(distances, n);
-      return dendrogram.cut_top_fraction(config.cut_fraction);
-    }();
-    for (const auto& group : groups) {
-      if (group.size() >= config.min_cluster_size)
-        add_cluster(group, stats::cluster_diameter(distances, n, group));
-    }
   }
 
   resolver.retain_into_cache();
   result.prune.exact_kernel_evals = resolver.kernel_evals();
   result.prune.cache_hits = resolver.cache_hits();
-  result.prune.resolved_pairs = resolver.resolved_pairs();
   if (obs::enabled()) {
     HmObs& o = HmObs::get();
     o.distances_computed.add(resolver.kernel_evals());

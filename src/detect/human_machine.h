@@ -8,6 +8,11 @@
 // cluster diameters. Machine-driven hosts running the same bot binary share
 // timer constants, land in tight clusters, and survive; human-driven hosts'
 // irregular timing inflates their cluster diameters.
+//
+// One engine at every host count: the distances of all eligible pairs go
+// into a dense n×n matrix, then UPGMA runs over it. The matrix plus UPGMA's
+// working copy is 16·n² bytes, ~1 GB at 8k eligible hosts; campus windows
+// have ~120 (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>
@@ -37,28 +42,6 @@ class HmCache;
 ///                   to *how far* mass moved, the weakness EMD avoids.
 enum class HmDistance { kEmd, kEmdBinIndex, kBinL1 };
 
-/// Strategy for the clustering stage. Both engines take their leaf
-/// distances from one resolver (HmCache first, then the exact kernels), so
-/// distances, cache contents and counters do not depend on the engine.
-///
-///  * kExhaustive — every pair resolved into a dense n×n matrix, then UPGMA
-///    (stats::agglomerative_average_linkage) and cut_top_fraction.
-///  * kPruned     — the fused UPGMA + cut driver
-///    (stats::average_linkage_cut_pruned) over a pruned-neighbor index: pivot
-///    triangle-inequality and bin-L1 grid lower bounds gate which pairs pay
-///    the exact kernel; distances resolve on demand into a sparse store.
-///    Verdicts are bit-identical to kExhaustive by construction, only cheaper
-///    at large n.
-///  * kAuto       — kPruned from kHmPruneMinHosts eligible hosts upward,
-///    kExhaustive below.
-enum class HmPruning { kAuto, kExhaustive, kPruned };
-
-/// kAuto switches to the pruned engine at this many eligible hosts. Below it
-/// the pruned engine's fixed costs do not pay: in bench_cluster the engines
-/// cross between 192 and 256 hosts at 1 thread, and the dense engine stays
-/// ahead through 512 hosts at 4 threads (DESIGN.md §15).
-inline constexpr std::size_t kHmPruneMinHosts = 256;
-
 struct HumanMachineConfig {
   /// τ_hm as a percentile of cluster diameters (paper sweeps 10..90th and
   /// uses the 70th in FindPlotters).
@@ -83,27 +66,14 @@ struct HumanMachineConfig {
   /// silently falling back to a default grid.
   double fixed_bin_width = 0.0;
   HmDistance distance = HmDistance::kEmd;
-  /// Clustering engine; see HmPruning.
-  HmPruning pruning = HmPruning::kAuto;
-  /// Pivot leaves for the triangle-inequality tier (clamped to the host
-  /// count). More pivots = tighter bounds at n·pivots extra exact
-  /// evaluations. Benched across 256..4096 hosts the marginal pivot saves
-  /// fewer resolutions than its column costs — eval counts and wall-clock
-  /// were best at 2-3 pivots at every size — so the default stays low and
-  /// keeps one spare pivot beyond the first two spread directions.
-  std::size_t prune_pivots = 3;
-  /// Bins of the shared-grid bin-L1 lower-bound tier (EMD distances only;
-  /// 0 disables the tier).
-  std::size_t prune_grid_bins = 64;
   /// Worker threads for the O(n^2) kernels (per-host signature build and
   /// the pairwise distance matrix). 0 = the TRADEPLOT_THREADS environment
   /// variable, else hardware concurrency; 1 = the serial reference path.
   /// Every thread count produces bit-identical results.
   std::size_t threads = 0;
-  /// Fill the per-phase wall-clock fields of HmPruneStats (pivot build,
-  /// bound scans, exact kernel time, replay time). Off by default: timing
-  /// reads a clock inside the clustering hot loops, which the benches want
-  /// and the detectors do not pay for.
+  /// Has no effect: the HmPruneStats phase-timing fields it used to fill
+  /// belonged to the removed pruned clustering engine and now stay 0. Kept
+  /// only because the e2ebench replay still sets it.
   bool collect_phase_timing = false;
 };
 
@@ -113,26 +83,15 @@ struct HostCluster {
   bool kept = false;  // survived the τ_hm filter
 };
 
-/// Work accounting for one θ_hm distance/clustering stage. pairs_total,
-/// exact_kernel_evals, cache_hits and resolved_pairs are filled the same way
-/// on both engines (exact_kernel_evals + cache_hits == resolved_pairs); on
-/// the pruned engine `used` is true and the remaining fields describe how
-/// much of the quadratic pair space its bounds saved.
+/// Work accounting for one θ_hm distance stage: every one of the
+/// pairs_total eligible-host pairs is either served by the HmCache or paid
+/// for by the exact kernel (exact_kernel_evals + cache_hits == pairs_total).
 struct HmPruneStats {
-  bool used = false;                      // pruned path taken
-  std::uint64_t pairs_total = 0;          // n(n-1)/2 over eligible hosts
-  std::uint64_t exact_kernel_evals = 0;   // exact kernel invocations
-  std::uint64_t cache_hits = 0;           // pairs served by the HmCache
-  std::uint64_t resolved_pairs = 0;       // distinct leaf pairs with exact values
-  std::uint64_t pivots = 0;               // pivot leaves used
-  std::uint64_t scanned = 0;              // NN-scan candidate evaluations
-  std::uint64_t skipped_pivot = 0;        // pruned by the pivot bound
-  std::uint64_t skipped_grid = 0;         // pruned by the grid bound
-  std::uint64_t scan_cache_hits = 0;      // NN scans served by the candidate cache
-  std::uint64_t bloom_skips = 0;          // memo probes skipped by the Bloom gate
-  // Per-phase wall-clock, filled only under config.collect_phase_timing
-  // (zero otherwise): neighbor-index construction, lower/upper-bound scans,
-  // exact kernel evaluations, and Lance-Williams replay of memoized values.
+  std::uint64_t pairs_total = 0;         // n(n-1)/2 over eligible hosts
+  std::uint64_t exact_kernel_evals = 0;  // exact kernel invocations
+  std::uint64_t cache_hits = 0;          // pairs served by the HmCache
+  // Always 0: the per-phase wall-clock of the removed pruned engine, kept
+  // only because the e2ebench replay still reads them.
   double pivot_build_ms = 0.0;
   double bound_scan_ms = 0.0;
   double exact_eval_ms = 0.0;
@@ -164,13 +123,11 @@ struct HumanMachineResult {
 /// result is bit-identical with and without the cache, at every thread
 /// count.
 ///
-/// The distance/clustering stage follows config.pruning: the pruned path
-/// produces bit-identical verdicts to the exhaustive one while evaluating
-/// the exact kernel only for pairs the lower bounds cannot exclude, and
-/// keeps memory at O(resolved pairs) instead of the dense n×n matrix (the
-/// fully cache-warm window allocates no quadratic storage at all). Hosts
-/// with degenerate timing evidence are skipped and accounted
-/// (result.degenerate / result.degraded) instead of failing the window.
+/// Every eligible pair is resolved into a dense n×n matrix (HmCache first,
+/// then the exact kernels), clustered with average linkage and cut; memory
+/// is O(n²) in the eligible host count. Hosts with degenerate timing
+/// evidence are skipped and accounted (result.degenerate / result.degraded)
+/// instead of failing the window.
 /// Throws util::ConfigError on a negative or non-finite
 /// config.fixed_bin_width.
 [[nodiscard]] HumanMachineResult human_machine_test(const FeatureMap& features,

@@ -17,7 +17,6 @@ std::string_view to_string(Stage s) {
     case Stage::kClustering: return "clustering";
     case Stage::kCheckpointSave: return "checkpoint_save";
     case Stage::kCheckpointRestore: return "checkpoint_restore";
-    case Stage::kPruneIndex: return "prune_index";
     case Stage::kBatchDecode: return "batch_decode";
   }
   return "unknown";

@@ -32,8 +32,7 @@ enum class Stage : std::uint8_t {
   kClustering,         // agglomerative clustering + cut
   kCheckpointSave,
   kCheckpointRestore,
-  kPruneIndex,   // pruned-neighbor index build (pivot + grid tiers)
-  kBatchDecode,  // one TraceReader::next_batch call (columnar decode)
+  kBatchDecode,        // one TraceReader::next_batch call (columnar decode)
 };
 constexpr std::size_t kStageCount = static_cast<std::size_t>(Stage::kBatchDecode) + 1;
 

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -14,46 +13,6 @@
 namespace tradeplot::stats::simd {
 
 namespace {
-
-double l1_scalar(const double* a, const double* b, std::size_t n) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += std::abs(a[i] - b[i]);
-  return sum;
-}
-
-#if TRADEPLOT_X86
-
-__attribute__((target("avx2"))) double l1_avx2(const double* a, const double* b,
-                                               std::size_t n) {
-  // |x| as a bitmask clear of the sign bit; four accumulators hide the
-  // vaddpd latency on the 4-wide lanes.
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    const __m256d d1 =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4));
-    acc0 = _mm256_add_pd(acc0, _mm256_andnot_pd(sign_mask, d0));
-    acc1 = _mm256_add_pd(acc1, _mm256_andnot_pd(sign_mask, d1));
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    acc0 = _mm256_add_pd(acc0, _mm256_andnot_pd(sign_mask, d));
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);
-  double sum = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; i < n; ++i) sum += std::abs(a[i] - b[i]);
-  return sum;
-}
-
-bool detect_avx2() { return __builtin_cpu_supports("avx2") != 0; }
-
-#endif
 
 std::uint64_t sum_u64_scalar(const std::uint64_t* a, std::size_t n) {
   std::uint64_t sum = 0;
@@ -68,6 +27,8 @@ std::size_t count_nonzero_u8_scalar(const std::uint8_t* a, std::size_t n) {
 }
 
 #if TRADEPLOT_X86
+
+bool detect_avx2() { return __builtin_cpu_supports("avx2") != 0; }
 
 __attribute__((target("avx2"))) std::uint64_t sum_u64_avx2(const std::uint64_t* a,
                                                            std::size_t n) {
@@ -109,95 +70,6 @@ __attribute__((target("avx2"))) std::size_t count_nonzero_u8_avx2(const std::uin
   }
   for (; i < n; ++i) nonzero += a[i] != 0;
   return nonzero;
-}
-
-#endif
-
-void pivot_interval_sweep_scalar(const double* cols, std::size_t stride,
-                                 std::size_t pivots, const double* top, std::size_t count,
-                                 double* lo, double* hi) {
-  for (std::size_t k = 0; k < count; ++k) {
-    double l = 0.0;
-    double h = std::numeric_limits<double>::infinity();
-    for (std::size_t p = 0; p < pivots; ++p) {
-      const double c = cols[p * stride + k];
-      const double d = std::abs(c - top[p]);
-      if (d > l) l = d;
-      const double u = c + top[p];
-      if (u < h) h = u;
-    }
-    lo[k] = l;
-    hi[k] = h;
-  }
-}
-
-double margin_min_sweep_scalar(double* lo, double* hi, std::size_t n) {
-  double m = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < n; ++k) {
-    lo[k] = lo[k] * (1.0 - 1e-9) - 1e-12;
-    const double h = hi[k] * (1.0 + 1e-9) + 1e-12;
-    hi[k] = h;
-    if (h < m) m = h;
-  }
-  return m;
-}
-
-#if TRADEPLOT_X86
-
-__attribute__((target("avx2"))) double margin_min_sweep_avx2(double* lo, double* hi,
-                                                             std::size_t n) {
-  const __m256d lo_scale = _mm256_set1_pd(1.0 - 1e-9);
-  const __m256d hi_scale = _mm256_set1_pd(1.0 + 1e-9);
-  const __m256d slack = _mm256_set1_pd(1e-12);
-  __m256d m = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d l =
-        _mm256_sub_pd(_mm256_mul_pd(_mm256_loadu_pd(lo + k), lo_scale), slack);
-    const __m256d h =
-        _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(hi + k), hi_scale), slack);
-    _mm256_storeu_pd(lo + k, l);
-    _mm256_storeu_pd(hi + k, h);
-    m = _mm256_min_pd(m, h);
-  }
-  const __m128d pair =
-      _mm_min_pd(_mm256_castpd256_pd128(m), _mm256_extractf128_pd(m, 1));
-  double result = _mm_cvtsd_f64(_mm_min_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  if (k < n) result = std::min(result, margin_min_sweep_scalar(lo + k, hi + k, n - k));
-  return result;
-}
-
-#endif
-
-std::size_t filter_le_scalar(const double* v, std::size_t n, double threshold,
-                             std::uint32_t* out) {
-  std::size_t count = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (v[k] <= threshold) out[count++] = static_cast<std::uint32_t>(k);
-  }
-  return count;
-}
-
-#if TRADEPLOT_X86
-
-__attribute__((target("avx2"))) std::size_t filter_le_avx2(const double* v, std::size_t n,
-                                                           double threshold,
-                                                           std::uint32_t* out) {
-  const __m256d t = _mm256_set1_pd(threshold);
-  std::size_t count = 0;
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    int mask = _mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(v + k), t, _CMP_LE_OQ));
-    while (mask != 0) {
-      const int bit = __builtin_ctz(static_cast<unsigned>(mask));
-      out[count++] = static_cast<std::uint32_t>(k) + static_cast<std::uint32_t>(bit);
-      mask &= mask - 1;
-    }
-  }
-  for (; k < n; ++k) {
-    if (v[k] <= threshold) out[count++] = static_cast<std::uint32_t>(k);
-  }
-  return count;
 }
 
 #endif
@@ -245,29 +117,6 @@ void emd_sweep_x4_scalar(const double* positions, const double* weights,
 }
 
 #if TRADEPLOT_X86
-
-__attribute__((target("avx2"))) void pivot_interval_sweep_avx2(
-    const double* cols, std::size_t stride, std::size_t pivots, const double* top,
-    std::size_t count, double* lo, double* hi) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    __m256d l = _mm256_setzero_pd();
-    __m256d h = inf;
-    for (std::size_t p = 0; p < pivots; ++p) {
-      const __m256d c = _mm256_loadu_pd(cols + p * stride + k);
-      const __m256d t = _mm256_set1_pd(top[p]);
-      l = _mm256_max_pd(l, _mm256_andnot_pd(sign, _mm256_sub_pd(c, t)));
-      h = _mm256_min_pd(h, _mm256_add_pd(c, t));
-    }
-    _mm256_storeu_pd(lo + k, l);
-    _mm256_storeu_pd(hi + k, h);
-  }
-  if (k < count) {
-    pivot_interval_sweep_scalar(cols + k, stride, pivots, top, count - k, lo + k, hi + k);
-  }
-}
 
 __attribute__((target("avx2"))) void emd_sweep_x4_avx2(
     const double* positions, const double* weights, const std::uint64_t* a_off,
@@ -326,28 +175,11 @@ __attribute__((target("avx2"))) void emd_sweep_x4_avx2(
 
 #endif
 
-using Kernel = double (*)(const double*, const double*, std::size_t);
 using SumU64Kernel = std::uint64_t (*)(const std::uint64_t*, std::size_t);
 using CountU8Kernel = std::size_t (*)(const std::uint8_t*, std::size_t);
-using IntervalKernel = void (*)(const double*, std::size_t, std::size_t, const double*,
-                                std::size_t, double*, double*);
 using EmdX4Kernel = void (*)(const double*, const double*, const std::uint64_t*,
                              const std::uint64_t*, const std::uint64_t*,
                              const std::uint64_t*, double*);
-using MarginKernel = double (*)(double*, double*, std::size_t);
-using FilterKernel = std::size_t (*)(const double*, std::size_t, double, std::uint32_t*);
-
-Kernel dispatch() {
-#if TRADEPLOT_X86
-  if (detect_avx2()) return &l1_avx2;
-#endif
-  return &l1_scalar;
-}
-
-Kernel kernel() {
-  static const Kernel k = dispatch();
-  return k;
-}
 
 SumU64Kernel sum_u64_kernel() {
 #if TRADEPLOT_X86
@@ -368,16 +200,6 @@ CountU8Kernel count_nonzero_u8_kernel() {
   return k;
 }
 
-IntervalKernel interval_kernel() {
-#if TRADEPLOT_X86
-  static const IntervalKernel k =
-      detect_avx2() ? &pivot_interval_sweep_avx2 : &pivot_interval_sweep_scalar;
-#else
-  static const IntervalKernel k = &pivot_interval_sweep_scalar;
-#endif
-  return k;
-}
-
 EmdX4Kernel emd_x4_kernel() {
 #if TRADEPLOT_X86
   static const EmdX4Kernel k = detect_avx2() ? &emd_sweep_x4_avx2 : &emd_sweep_x4_scalar;
@@ -387,38 +209,7 @@ EmdX4Kernel emd_x4_kernel() {
   return k;
 }
 
-MarginKernel margin_kernel() {
-#if TRADEPLOT_X86
-  static const MarginKernel k =
-      detect_avx2() ? &margin_min_sweep_avx2 : &margin_min_sweep_scalar;
-#else
-  static const MarginKernel k = &margin_min_sweep_scalar;
-#endif
-  return k;
-}
-
-FilterKernel filter_kernel() {
-#if TRADEPLOT_X86
-  static const FilterKernel k = detect_avx2() ? &filter_le_avx2 : &filter_le_scalar;
-#else
-  static const FilterKernel k = &filter_le_scalar;
-#endif
-  return k;
-}
-
 }  // namespace
-
-double l1_distance(const double* a, const double* b, std::size_t n) {
-  return kernel()(a, b, n);
-}
-
-bool using_avx2() {
-#if TRADEPLOT_X86
-  return kernel() != &l1_scalar;
-#else
-  return false;
-#endif
-}
 
 std::uint64_t sum_u64(const std::uint64_t* a, std::size_t n) {
   return sum_u64_kernel()(a, n);
@@ -428,23 +219,10 @@ std::size_t count_nonzero_u8(const std::uint8_t* a, std::size_t n) {
   return count_nonzero_u8_kernel()(a, n);
 }
 
-void pivot_interval_sweep(const double* cols, std::size_t stride, std::size_t pivots,
-                          const double* top, std::size_t count, double* lo, double* hi) {
-  interval_kernel()(cols, stride, pivots, top, count, lo, hi);
-}
-
 void emd_sweep_x4(const double* positions, const double* weights,
                   const std::uint64_t* a_off, const std::uint64_t* a_len,
                   const std::uint64_t* b_off, const std::uint64_t* b_len, double* out) {
   emd_x4_kernel()(positions, weights, a_off, a_len, b_off, b_len, out);
-}
-
-double margin_min_sweep(double* lo, double* hi, std::size_t n) {
-  return margin_kernel()(lo, hi, n);
-}
-
-std::size_t filter_le(const double* v, std::size_t n, double threshold, std::uint32_t* out) {
-  return filter_kernel()(v, n, threshold, out);
 }
 
 }  // namespace tradeplot::stats::simd

@@ -1,21 +1,11 @@
-// Runtime-dispatched SIMD kernels for the θ_hm pruning hot loops.
+// Runtime-dispatched SIMD kernels: the θ_hm four-lane EMD sweep and the
+// integer column reductions of the columnar flow-batch scans.
 //
-// The pruned clustering path evaluates a cheap bin-L1 lower bound over dense
-// per-cluster grid histograms before paying for an exact EMD resolution; that
-// inner loop is a pure Σ|a[i] - b[i]| sweep over contiguous doubles and
-// vectorizes perfectly. The kernel is selected once per process at first use:
-// an AVX2 implementation (compiled with a per-function target attribute, so
-// the rest of the build stays baseline-ISA) when the CPU supports it, the
-// scalar loop otherwise.
-//
-// Determinism note: the AVX2 sum reassociates additions, so l1_distance is
-// NOT guaranteed bit-identical to the scalar loop across machines. It is
-// deterministic within a process (one dispatch decision, same instruction
-// sequence every call), which is all the pruning layer needs — the bound only
-// gates which pairs pay the exact kernel, it never feeds a verdict, and the
-// caller applies an admissibility margin that absorbs the rounding
-// difference. Verdict-bearing kernels (emd_1d_presorted, FlatBinSet::l1)
-// deliberately do not use this function.
+// Each kernel is selected once per process at first use: an AVX2
+// implementation (compiled with a per-function target attribute, so the rest
+// of the build stays baseline-ISA) when the CPU supports it, the scalar loop
+// otherwise. Every kernel here is bit-identical to its scalar loop on every
+// machine, so all of them are safe in verdict-bearing paths.
 #pragma once
 
 #include <cstddef>
@@ -23,19 +13,9 @@
 
 namespace tradeplot::stats::simd {
 
-/// Σ|a[i] - b[i]| over n contiguous doubles. AVX2 when available at runtime,
-/// scalar otherwise; deterministic within a process.
-[[nodiscard]] double l1_distance(const double* a, const double* b, std::size_t n);
-
-/// True when the process dispatched l1_distance to the AVX2 kernel
-/// (reported by bench_cluster so JSON trajectories note the ISA).
-[[nodiscard]] bool using_avx2();
-
 // Integer column reductions for the columnar flow-batch scans (FlowBatch
-// counter/state columns, bench_io's feature-scan profile). Unlike the
-// floating-point kernels above, integer addition is exactly associative, so
-// these are bit-identical to the scalar loops on every machine and are safe
-// in verdict-bearing paths.
+// counter/state columns, bench_io's feature-scan profile). Integer addition
+// is exactly associative, so the vector forms' reassociation is bit-exact.
 
 /// Σ a[i] over n contiguous u64 (wrapping, like the scalar loop would).
 [[nodiscard]] std::uint64_t sum_u64(const std::uint64_t* a, std::size_t n);
@@ -43,58 +23,18 @@ namespace tradeplot::stats::simd {
 /// Number of nonzero bytes in a[0..n).
 [[nodiscard]] std::size_t count_nonzero_u8(const std::uint8_t* a, std::size_t n);
 
-// Clustering-scan kernels. Unlike l1_distance, BOTH kernels below are
-// bit-identical to their scalar loops on every machine, so they are safe in
-// verdict-bearing paths:
-//  - pivot_interval_sweep uses only elementwise sub/add/abs and max/min
-//    reductions. Each elementwise op is a single IEEE operation (exact same
-//    rounding in scalar and vector form), and max/min over non-NaN doubles
-//    are exactly associative and commutative, so the reduction order the
-//    vector form uses cannot change any output bit. (The inputs here are
-//    nonnegative distances, so the one max/min caveat — which operand of a
-//    ±0.0 tie survives — cannot arise.)
-//  - emd_sweep_x4 runs four independent merge sweeps in the four vector
-//    lanes; each lane replays the exact floating-point operation sequence of
-//    emd_1d_presorted (same sub/mul/add per step, ties broken identically),
-//    with exhausted lanes frozen by masking their per-step contributions to
-//    +0.0 — which leaves a nonnegative accumulator bit-unchanged.
-
-/// Pass-1 interval sweep over column-major pivot storage. For each row
-/// k in [0, count):
-///   lo[k] = max_p |cols[p*stride + k] - top[p]|   (0.0 when pivots == 0)
-///   hi[k] = min_p (cols[p*stride + k] + top[p])   (+inf when pivots == 0)
-/// Rows poisoned with +inf yield lo = hi = +inf (self-eliminating on the
-/// lower bound, inert on the upper bound). Bit-identical scalar vs AVX2.
-void pivot_interval_sweep(const double* cols, std::size_t stride, std::size_t pivots,
-                          const double* top, std::size_t count, double* lo, double* hi);
-
-/// Pass-1 margin application over the interval sweep's output, in place:
-///   lo[k] = lo[k] * (1 - 1e-9) - 1e-12    (the admissible under-margin)
-///   hi[k] = hi[k] * (1 + 1e-9) + 1e-12    (the admissible over-margin)
-/// Returns min_k hi[k] (+inf when n == 0) — the scan's elimination
-/// threshold. Elementwise mul/sub/add are one IEEE operation each (same
-/// rounding scalar or vector), and the min reduction runs over strictly
-/// positive or +inf values (no NaN, no ±0 tie), so it is exactly
-/// associative: bit-identical scalar vs AVX2. +inf-poisoned rows stay +inf
-/// and never win the min.
-[[nodiscard]] double margin_min_sweep(double* lo, double* hi, std::size_t n);
-
-/// Index compress: writes k (ascending) to out for every v[k] <= threshold,
-/// returns how many were written. out must hold n entries. A pure IEEE
-/// comparison per element — trivially bit-identical scalar vs AVX2 (+inf
-/// entries never pass a finite threshold; NaN never passes). The clustering
-/// scan uses it to turn the O(n) branchy survivor walk into a compare mask
-/// plus a sparse index scan.
-[[nodiscard]] std::size_t filter_le(const double* v, std::size_t n, double threshold,
-                                    std::uint32_t* out);
-
 /// Four presorted-EMD merge sweeps at once over FlatSignatureSet-style
 /// storage: lane l sweeps the slice pair
 ///   a_l = (positions + a_off[l], weights + a_off[l], a_len[l])
 ///   b_l = (positions + b_off[l], weights + b_off[l], b_len[l])
 /// and out[l] receives a value bit-identical to emd_1d_presorted(a_l, b_l).
-/// Every lane must have a_len/b_len >= 1 and the one-past-end +inf sentinel
-/// slot FlatSignatureSet packs after each slice. Always writes out[0..3].
+/// The four sweeps run in the four vector lanes; each lane replays the exact
+/// floating-point operation sequence of emd_1d_presorted (same sub/mul/add
+/// per step, ties broken identically), with exhausted lanes frozen by masking
+/// their per-step contributions to +0.0, which leaves a nonnegative
+/// accumulator bit-unchanged. Every lane must have a_len/b_len >= 1 and the
+/// one-past-end +inf sentinel slot FlatSignatureSet packs after each slice.
+/// Always writes out[0..3].
 void emd_sweep_x4(const double* positions, const double* weights,
                   const std::uint64_t* a_off, const std::uint64_t* a_len,
                   const std::uint64_t* b_off, const std::uint64_t* b_len, double* out);

@@ -1,13 +1,13 @@
 // Blocked Bloom filter over 64-bit keys.
 //
-// The pruned clustering engine memoizes resolved pair distances in a sparse
-// hash map keyed by packed (lo, hi) node-id pairs. Most probes miss — the
-// whole point of pruning is that almost no pair is ever resolved — and a
-// hash-map miss still costs a bucket walk. This filter sits in front of such
-// stores: `maybe_contains` returning false is a guarantee the key was never
-// inserted, so the caller can skip the map probe entirely. False positives
-// only cost the probe that would have happened anyway; they can never change
-// a verdict.
+// The θ_hm distance cache (detect::HmCache) keeps the last window's pair
+// distances in a hash map keyed by packed host pairs, and the dense distance
+// fill probes it for every pair. In a partially warm window many probes miss,
+// and a hash-map miss still costs a bucket walk. This filter sits in front of
+// such stores: `maybe_contains` returning false is a guarantee the key was
+// never inserted, so the caller can skip the map probe entirely. False
+// positives only cost the probe that would have happened anyway; they can
+// never change a verdict.
 //
 // Design: single-cache-line-free "blocked" scheme collapsed to one 64-bit
 // word per key. The mixed hash picks a word with its high bits and two bit

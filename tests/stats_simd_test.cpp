@@ -1,18 +1,12 @@
-// Bit-identity contracts of the runtime-dispatched clustering kernels
-// (stats/simd.h). pivot_interval_sweep, margin_min_sweep, and filter_le are
-// verdict-adjacent — the NN-chain's elimination decisions ride on their
-// outputs — and their documented contract is bit-identity with the scalar
-// reference loop on every machine, +inf poison rows included. emd_sweep_x4
-// IS verdict-bearing: each lane must reproduce emd_1d_presorted exactly,
-// ties and single-point signatures included. Every test here recomputes the
+// Bit-identity contract of the four-lane EMD sweep (stats/simd.h), which is
+// verdict-bearing: each lane must reproduce emd_1d_presorted exactly, ties
+// and single-point signatures included. Every test here recomputes the
 // scalar reference inline and compares bitwise.
 #include "stats/simd.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "stats/emd.h"
@@ -22,136 +16,7 @@
 namespace tradeplot::stats {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 bool bit_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
-
-// Column-major pivot storage as the engine lays it out: cols[p * stride + k]
-// holds |leaf k -> pivot p| means, with a sprinkling of +inf poison rows
-// (retired slots).
-struct PivotFixture {
-  std::vector<double> cols;
-  std::vector<double> top;
-  std::size_t stride;
-  std::size_t pivots;
-  std::size_t count;
-};
-
-PivotFixture make_fixture(util::Pcg32& rng, std::size_t count, std::size_t pivots) {
-  PivotFixture f;
-  f.stride = count;
-  f.pivots = pivots;
-  f.count = count;
-  f.cols.resize(pivots * count);
-  f.top.resize(pivots);
-  for (double& v : f.cols) v = rng.uniform(0.0, 50.0);
-  for (std::size_t k = 0; k < count; ++k) {
-    if (rng.uniform_int(0, 4) == 0) {
-      for (std::size_t p = 0; p < pivots; ++p) f.cols[p * count + k] = kInf;
-    }
-  }
-  for (std::size_t p = 0; p < pivots; ++p) f.top[p] = rng.uniform(0.0, 50.0);
-  return f;
-}
-
-TEST(SimdPivotSweep, MatchesScalarReferenceWithPoisonRows) {
-  util::Pcg32 rng(0x51D2);
-  for (const std::size_t count : {0u, 1u, 3u, 4u, 7u, 64u, 129u}) {
-    for (const std::size_t pivots : {1u, 2u, 3u, 8u}) {
-      const PivotFixture f = make_fixture(rng, count, pivots);
-      std::vector<double> lo(count, -1.0);
-      std::vector<double> hi(count, -1.0);
-      simd::pivot_interval_sweep(f.cols.data(), f.stride, f.pivots, f.top.data(), count,
-                                 lo.data(), hi.data());
-      for (std::size_t k = 0; k < count; ++k) {
-        double ref_lo = 0.0;
-        double ref_hi = kInf;
-        for (std::size_t p = 0; p < pivots; ++p) {
-          ref_lo = std::max(ref_lo, std::abs(f.cols[p * count + k] - f.top[p]));
-          ref_hi = std::min(ref_hi, f.cols[p * count + k] + f.top[p]);
-        }
-        ASSERT_TRUE(bit_equal(lo[k], ref_lo))
-            << "count=" << count << " pivots=" << pivots << " k=" << k;
-        ASSERT_TRUE(bit_equal(hi[k], ref_hi))
-            << "count=" << count << " pivots=" << pivots << " k=" << k;
-      }
-    }
-  }
-}
-
-TEST(SimdPivotSweep, ZeroPivotsYieldsVacuousBounds) {
-  std::vector<double> lo(5, -1.0);
-  std::vector<double> hi(5, -1.0);
-  simd::pivot_interval_sweep(nullptr, 5, 0, nullptr, 5, lo.data(), hi.data());
-  for (std::size_t k = 0; k < 5; ++k) {
-    EXPECT_EQ(lo[k], 0.0);
-    EXPECT_EQ(hi[k], kInf);
-  }
-}
-
-TEST(SimdMarginSweep, MatchesScalarReferenceAndMin) {
-  util::Pcg32 rng(0x51D3);
-  for (const std::size_t n : {0u, 1u, 2u, 4u, 5u, 63u, 200u}) {
-    std::vector<double> lo(n);
-    std::vector<double> hi(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (rng.uniform_int(0, 5) == 0) {
-        lo[k] = hi[k] = kInf;  // poison row: must stay inert
-      } else {
-        lo[k] = rng.uniform(0.0, 40.0);
-        hi[k] = lo[k] + rng.uniform(0.0, 40.0);
-      }
-    }
-    std::vector<double> ref_lo = lo;
-    std::vector<double> ref_hi = hi;
-    double ref_min = kInf;
-    for (std::size_t k = 0; k < n; ++k) {
-      ref_lo[k] = ref_lo[k] * (1.0 - 1e-9) - 1e-12;
-      ref_hi[k] = ref_hi[k] * (1.0 + 1e-9) + 1e-12;
-      ref_min = std::min(ref_min, ref_hi[k]);
-    }
-    const double got_min = simd::margin_min_sweep(lo.data(), hi.data(), n);
-    ASSERT_TRUE(bit_equal(got_min, ref_min)) << "n=" << n;
-    for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_TRUE(bit_equal(lo[k], ref_lo[k])) << "n=" << n << " k=" << k;
-      ASSERT_TRUE(bit_equal(hi[k], ref_hi[k])) << "n=" << n << " k=" << k;
-    }
-  }
-}
-
-TEST(SimdFilterLe, MatchesScalarCompressIncludingPoisonAndEdges) {
-  util::Pcg32 rng(0x51D4);
-  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 100u, 257u}) {
-    std::vector<double> v(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const int kind = rng.uniform_int(0, 5);
-      v[k] = kind == 0 ? kInf : rng.uniform(0.0, 10.0);
-    }
-    for (const double threshold : {-1.0, 0.0, 5.0, 10.0, kInf}) {
-      std::vector<std::uint32_t> ref;
-      for (std::size_t k = 0; k < n; ++k)
-        if (v[k] <= threshold) ref.push_back(static_cast<std::uint32_t>(k));
-      std::vector<std::uint32_t> got(n + 1, 0xffffffffu);
-      const std::size_t wrote = simd::filter_le(v.data(), n, threshold, got.data());
-      ASSERT_EQ(wrote, ref.size()) << "n=" << n << " threshold=" << threshold;
-      for (std::size_t k = 0; k < wrote; ++k)
-        ASSERT_EQ(got[k], ref[k]) << "n=" << n << " threshold=" << threshold;
-    }
-  }
-}
-
-TEST(SimdFilterLe, EveryBoundaryValuePasses) {
-  // <= must be inclusive: values exactly at the threshold pass, the next
-  // representable above does not.
-  const double t = 3.5;
-  const std::vector<double> v = {t, std::nextafter(t, 4.0), std::nextafter(t, 0.0), t};
-  std::vector<std::uint32_t> out(v.size());
-  const std::size_t wrote = simd::filter_le(v.data(), v.size(), t, out.data());
-  ASSERT_EQ(wrote, 3u);
-  EXPECT_EQ(out[0], 0u);
-  EXPECT_EQ(out[1], 2u);
-  EXPECT_EQ(out[2], 3u);
-}
 
 // Random signatures with deliberately tied positions across lanes — the EMD
 // merge sweep's tie-breaking (a before b) is part of the bit contract.

@@ -1,7 +1,6 @@
 #include "detect/features.h"
 
-#include <algorithm>
-
+#include "detect/accumulator.h"
 #include "netflow/trace_reader.h"
 #include "util/error.h"
 
@@ -27,65 +26,17 @@ double HostFeatures::volume(VolumeMetric metric) const {
 
 namespace {
 
-struct Accumulator {
-  HostFeatures features;
-  // Per-destination initiated-flow start times (unsorted; sorted at the end).
-  PerDestinationTimes per_dst_times;
-  bool seen = false;
-};
+/// Feeds one flow's two sides to `acc` exactly as StreamingDetector::apply
+/// does, with no timing budget.
+void add(WindowAccumulator& acc, const FeatureExtractorConfig& config, simnet::Ipv4 src,
+         simnet::Ipv4 dst, double start, std::uint64_t bytes_src, std::uint64_t bytes_dst,
+         bool failed) {
+  if (config.is_internal(src)) acc.apply_initiator(src, dst, start, bytes_src, failed, 0);
+  if (config.is_internal(dst) && !failed) acc.apply_responder(dst, start, bytes_dst);
+}
 
-/// Shared accumulation core: the AoS and columnar extract_features overloads
-/// both feed flows through add(), so they cannot diverge.
-class Extractor {
- public:
-  explicit Extractor(const FeatureExtractorConfig& config) : config_(config) {
-    if (!config.is_internal) throw util::ConfigError("extract_features: is_internal required");
-  }
-
-  void add(simnet::Ipv4 src, simnet::Ipv4 dst, double start, std::uint64_t bytes_src,
-           std::uint64_t bytes_dst, bool failed) {
-    if (config_.is_internal(src)) {
-      Accumulator& a = touch(src, start);
-      a.features.flows_initiated += 1;
-      if (failed) a.features.flows_failed += 1;
-      a.features.bytes_sent_initiated += bytes_src;
-      a.per_dst_times[dst].push_back(start);
-    }
-    if (config_.is_internal(dst) && !failed) {
-      Accumulator& a = touch(dst, start);
-      a.features.flows_received += 1;
-      a.features.bytes_sent_received += bytes_dst;
-    }
-  }
-
-  [[nodiscard]] FeatureMap finish() {
-    FeatureMap out;
-    out.reserve(acc_.size());
-    for (auto& [host, a] : acc_) {
-      finalize_destinations(a.features, a.per_dst_times, config_.new_ip_grace);
-      out.emplace(host, std::move(a.features));
-    }
-    return out;
-  }
-
- private:
-  Accumulator& touch(simnet::Ipv4 host, double t) {
-    Accumulator& a = acc_[host];
-    if (!a.seen) {
-      a.seen = true;
-      a.features.host = host;
-      a.features.first_activity = t;
-    } else {
-      a.features.first_activity = std::min(a.features.first_activity, t);
-    }
-    return a;
-  }
-
-  const FeatureExtractorConfig& config_;
-  std::unordered_map<simnet::Ipv4, Accumulator> acc_;
-};
-
-void add_batch(Extractor& ex, const netflow::FlowBatch& batch) {
+void add_batch(WindowAccumulator& acc, const FeatureExtractorConfig& config,
+               const netflow::FlowBatch& batch) {
   const simnet::Ipv4* src = batch.src();
   const simnet::Ipv4* dst = batch.dst();
   const double* start = batch.start_time();
@@ -93,47 +44,42 @@ void add_batch(Extractor& ex, const netflow::FlowBatch& batch) {
   const std::uint64_t* bytes_dst = batch.bytes_dst();
   const netflow::FlowState* state = batch.state();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    ex.add(src[i], dst[i], start[i], bytes_src[i], bytes_dst[i],
-           state[i] != netflow::FlowState::kEstablished);
+    add(acc, config, src[i], dst[i], start[i], bytes_src[i], bytes_dst[i],
+        state[i] != netflow::FlowState::kEstablished);
   }
+}
+
+void require_predicate(const FeatureExtractorConfig& config) {
+  if (!config.is_internal) throw util::ConfigError("extract_features: is_internal required");
 }
 
 }  // namespace
 
-void finalize_destinations(HostFeatures& f, PerDestinationTimes& times, double grace) {
-  f.distinct_dsts = times.size();
-  f.dsts_after_first_hour = 0;
-  const double horizon = f.first_activity + grace;
-  for (auto& [dst, starts] : times) {
-    std::sort(starts.begin(), starts.end());
-    if (starts.front() > horizon) f.dsts_after_first_hour += 1;
-    for (std::size_t i = 1; i < starts.size(); ++i) {
-      f.interstitials.push_back(starts[i] - starts[i - 1]);
-    }
-  }
-}
-
 FeatureMap extract_features(const netflow::TraceSet& trace,
                             const FeatureExtractorConfig& config) {
-  Extractor ex(config);
+  require_predicate(config);
+  WindowAccumulator acc;
   for (const netflow::FlowRecord& rec : trace.flows())
-    ex.add(rec.src, rec.dst, rec.start_time, rec.bytes_src, rec.bytes_dst, rec.failed());
-  return ex.finish();
+    add(acc, config, rec.src, rec.dst, rec.start_time, rec.bytes_src, rec.bytes_dst,
+        rec.failed());
+  return acc.finalize(config.new_ip_grace);
 }
 
 FeatureMap extract_features(std::span<const netflow::FlowBatch> batches,
                             const FeatureExtractorConfig& config) {
-  Extractor ex(config);
-  for (const netflow::FlowBatch& batch : batches) add_batch(ex, batch);
-  return ex.finish();
+  require_predicate(config);
+  WindowAccumulator acc;
+  for (const netflow::FlowBatch& batch : batches) add_batch(acc, config, batch);
+  return acc.finalize(config.new_ip_grace);
 }
 
 FeatureMap extract_features(netflow::TraceReader& reader,
                             const FeatureExtractorConfig& config) {
-  Extractor ex(config);
+  require_predicate(config);
+  WindowAccumulator acc;
   netflow::FlowBatch batch;
-  while (reader.next_batch(batch) > 0) add_batch(ex, batch);
-  return ex.finish();
+  while (reader.next_batch(batch) > 0) add_batch(acc, config, batch);
+  return acc.finalize(config.new_ip_grace);
 }
 
 bool default_internal_predicate(simnet::Ipv4 addr) {

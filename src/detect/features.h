@@ -47,7 +47,8 @@ struct HostFeatures {
   std::size_t dsts_after_first_hour = 0;  // first contacted after hour one
   double first_activity = 0.0;            // start of the host's first flow
 
-  /// Pooled per-destination interstitial times between initiated flows.
+  /// Pooled per-destination interstitial times between initiated flows:
+  /// destinations in ascending address order, each one's gaps in time order.
   std::vector<double> interstitials;
 
   [[nodiscard]] double failed_rate() const {
@@ -74,10 +75,11 @@ struct FeatureExtractorConfig {
   std::function<bool(simnet::Ipv4)> is_internal;
 };
 
-/// Computes features for every internal host appearing in `trace`.
-/// Flows must be (or will be treated as) time-ordered per host; the
-/// extractor sorts a copy of the per-destination timestamps, so unsorted
-/// input is handled correctly.
+/// Computes features for every internal host appearing in `trace`, through
+/// the same WindowAccumulator (detect/accumulator.h) as StreamingDetector,
+/// with no timing budget. Flows need not be time-ordered: each
+/// destination's start times are sorted before the gaps are taken, and the
+/// interstitials come out in the accumulator's canonical order.
 [[nodiscard]] FeatureMap extract_features(const netflow::TraceSet& trace,
                                           const FeatureExtractorConfig& config);
 
@@ -93,19 +95,6 @@ struct FeatureExtractorConfig {
 /// (honoring its error policy), in bounded memory.
 [[nodiscard]] FeatureMap extract_features(netflow::TraceReader& reader,
                                           const FeatureExtractorConfig& config);
-
-/// Per-destination initiated-flow start times accumulated during a pass
-/// over the flows, before finalization.
-using PerDestinationTimes = std::unordered_map<simnet::Ipv4, std::vector<double>>;
-
-/// Folds accumulated per-destination times into `f`: sets distinct_dsts and
-/// dsts_after_first_hour (destinations first contacted after
-/// f.first_activity + grace) and appends the pooled interstitial samples
-/// (consecutive gaps of each destination's *sorted* times). Sorts the time
-/// vectors in place. Both the batch and the streaming extractor finalize
-/// through this helper, so their features agree exactly — for any arrival
-/// order of the flows.
-void finalize_destinations(HostFeatures& f, PerDestinationTimes& times, double grace);
 
 /// Convenience predicate for the default campus subnets (128.2/16 and
 /// 128.237/16, plus the honeynet block 10.99/16 used by raw bot traces).

@@ -1,5 +1,6 @@
 #include "detect/hm_cache.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "detect/payload_codec.h"
@@ -53,14 +54,16 @@ void HmCache::encode(PayloadWriter& w) const {
 
 void HmCache::decode(PayloadReader& r) {
   HmCache fresh;
+  // Reserve no more entries than the remaining bytes could hold, so a
+  // corrupt count cannot force a huge allocation before truncation shows.
   const auto sig_count = r.take<std::uint64_t>();
-  fresh.signatures.reserve(static_cast<std::size_t>(sig_count));
+  fresh.signatures.reserve(std::min<std::uint64_t>(sig_count, r.remaining() / 20));
   for (std::uint64_t i = 0; i < sig_count; ++i) {
     const simnet::Ipv4 host(r.take<std::uint32_t>());
     SignatureEntry entry;
     entry.hash = r.take<std::uint64_t>();
     const auto points = r.take<std::uint64_t>();
-    entry.signature.reserve(static_cast<std::size_t>(points));
+    entry.signature.reserve(std::min<std::uint64_t>(points, r.remaining() / 16));
     for (std::uint64_t p = 0; p < points; ++p) {
       const double position = r.take<double>();
       const double weight = r.take<double>();
@@ -69,7 +72,7 @@ void HmCache::decode(PayloadReader& r) {
     fresh.signatures.emplace(host, std::move(entry));
   }
   const auto pair_count = r.take<std::uint64_t>();
-  fresh.distances.reserve(static_cast<std::size_t>(pair_count));
+  fresh.distances.reserve(std::min<std::uint64_t>(pair_count, r.remaining() / 32));
   for (std::uint64_t i = 0; i < pair_count; ++i) {
     const auto key = r.take<std::uint64_t>();
     DistanceEntry entry;

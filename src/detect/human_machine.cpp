@@ -47,9 +47,6 @@ struct HmObs {
   obs::Counter& degenerate_hosts = obs::Registry::global().counter(
       "tradeplot_hm_degenerate_hosts_total",
       "theta_hm hosts skipped for degenerate timing evidence");
-  obs::Counter& dense_matrix = obs::Registry::global().counter(
-      "tradeplot_hm_dense_matrix_total",
-      "dense n x n distance matrices allocated by theta_hm");
   obs::Counter& cluster_exact_evals = obs::Registry::global().counter(
       "tradeplot_cluster_exact_evals_total",
       "theta_hm exact kernel evaluations by the clustering engine");
@@ -552,7 +549,6 @@ HumanMachineResult human_machine_test(const FeatureMap& features, const HostSet&
   result.prune.pairs_total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
 
   LeafResolver resolver(signatures, hosts, hashes, config, cache);
-  if (obs::enabled()) HmObs::get().dense_matrix.add(1);
   const std::vector<double>& distances = [&]() -> const std::vector<double>& {
     const obs::StageTimer dist_timer(obs::Stage::kPairwiseDistance);
     return resolver.resolve_all();

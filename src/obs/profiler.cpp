@@ -18,6 +18,8 @@ std::string_view to_string(Stage s) {
     case Stage::kCheckpointSave: return "checkpoint_save";
     case Stage::kCheckpointRestore: return "checkpoint_restore";
     case Stage::kBatchDecode: return "batch_decode";
+    case Stage::kFinalize: return "finalize";
+    case Stage::kRelease: return "release";
   }
   return "unknown";
 }

@@ -33,8 +33,10 @@ enum class Stage : std::uint8_t {
   kCheckpointSave,
   kCheckpointRestore,
   kBatchDecode,        // one TraceReader::next_batch call (columnar decode)
+  kFinalize,           // one window's accumulators -> FeatureMap
+  kRelease,            // one window's state released after the sink
 };
-constexpr std::size_t kStageCount = static_cast<std::size_t>(Stage::kBatchDecode) + 1;
+constexpr std::size_t kStageCount = static_cast<std::size_t>(Stage::kRelease) + 1;
 
 [[nodiscard]] std::string_view to_string(Stage s);
 

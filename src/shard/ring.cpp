@@ -22,15 +22,26 @@ HashRing::HashRing(std::size_t shards, std::size_t vnodes)
     }
   }
   std::sort(points_.begin(), points_.end());
+
+  std::size_t buckets = 1;
+  for (shift_ = 64; buckets < 4 * points_.size(); buckets *= 2) --shift_;
+  first_.resize(buckets);
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const std::uint64_t bucket_start = static_cast<std::uint64_t>(b) << shift_;
+    while (i < points_.size() && points_[i].first < bucket_start) ++i;
+    first_[b] = static_cast<std::uint32_t>(i);
+  }
 }
 
 std::size_t HashRing::shard_of(simnet::Ipv4 host) const {
   if (shards_ == 1) return 0;
   const std::uint64_t h = splitmix64(host.value());
-  auto it = std::upper_bound(points_.begin(), points_.end(),
-                             std::make_pair(h, ~std::uint32_t{0}));
-  if (it == points_.end()) it = points_.begin();  // wrap past the last point
-  return it->second;
+  // The first point past h (upper bound), starting from h's bucket.
+  std::size_t i = first_[h >> shift_];
+  while (i < points_.size() && points_[i].first <= h) ++i;
+  if (i == points_.size()) i = 0;  // wrap past the last point
+  return points_[i].second;
 }
 
 }  // namespace tradeplot::shard

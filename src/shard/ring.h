@@ -54,6 +54,12 @@ class HashRing {
   /// Ring points sorted by (hash, shard) — the shard tiebreak makes the
   /// astronomically-unlikely hash collision deterministic too.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;
+  /// Lookup index over the ring: the hash space cut into a power-of-two
+  /// count of equal buckets (>= 4 per point), first_[b] the first point at
+  /// or past bucket b's start. A lookup scans only its bucket's few points
+  /// instead of binary-searching the whole ring; the answer is the same.
+  std::vector<std::uint32_t> first_;
+  unsigned shift_ = 64;
 };
 
 }  // namespace tradeplot::shard

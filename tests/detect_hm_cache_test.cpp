@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -368,6 +369,71 @@ TEST(HmCacheStreaming, KillAndRestoreKeepsTheWarmCache) {
   EXPECT_EQ(resumed.hm_cache().signatures_reused, uninterrupted_cache.signatures_reused);
   EXPECT_EQ(resumed.hm_cache().distances_computed,
             uninterrupted_cache.distances_computed);
+  EXPECT_EQ(resumed.hm_cache().distances_reused, uninterrupted_cache.distances_reused);
+}
+
+TEST(HmCacheStreaming, RestoredWindowReusesMultiDestinationSignatures) {
+  // Each subject contacts two destinations with different spacings, so its
+  // pooled interstitials depend on the order the destinations are pooled
+  // in, and so does the content hash the cache keys on. Both windows carry
+  // the same timing, so the uninterrupted run serves window 2's signatures
+  // from window 1. A detector killed mid-window 2 and restored must pool in
+  // the same canonical order and reuse just as much.
+  std::vector<netflow::FlowRecord> flows;
+  for (const double start : {0.0, kWindow}) {
+    for (std::uint8_t h = 1; h <= 6; ++h) {
+      const double gap = 20.0 + h;
+      for (std::uint8_t d = 1; d <= 2; ++d) {
+        const double spacing = gap * d + (d - 1);
+        for (int i = 0; i < 5; ++i) {
+          netflow::FlowRecord r;
+          r.src = host(h);
+          r.dst = simnet::Ipv4(4, 4, h, d);
+          r.start_time = start + spacing * (i + 1);
+          r.end_time = r.start_time + 1.0;
+          r.pkts_src = 10;
+          r.pkts_dst = 10;
+          r.bytes_src = 100u * h;
+          r.bytes_dst = 64;
+          flows.push_back(r);
+        }
+      }
+    }
+    SpacedTrace sacrificial;
+    sacrificial.add_host(9, start, 13.0, 10000);
+    flows.insert(flows.end(), sacrificial.flows.begin(), sacrificial.flows.end());
+  }
+  std::stable_sort(flows.begin(), flows.end(), [](const auto& a, const auto& b) {
+    return a.start_time < b.start_time;
+  });
+
+  const StreamingConfig cfg = streaming_config(true);
+  HmCache uninterrupted_cache;
+  const auto expected = run(flows, cfg, &uninterrupted_cache);
+  ASSERT_EQ(expected.size(), 2u);
+  ASSERT_GE(expected[1].result.vol_or_churn.size(), 6u);
+  // Window 2 rebuilt nothing in the uninterrupted run.
+  ASSERT_EQ(uninterrupted_cache.signatures_reused, expected[1].result.vol_or_churn.size());
+
+  std::size_t kill_at = 0;
+  while (flows[kill_at].start_time < kWindow) ++kill_at;
+  kill_at += (flows.size() - kill_at) / 2;
+  std::vector<WindowVerdict> verdicts;
+  const auto sink = [&](const WindowVerdict& v) { verdicts.push_back(v); };
+  std::stringstream image;
+  {
+    StreamingDetector first(cfg, sink);
+    for (std::size_t i = 0; i < kill_at; ++i) first.ingest(flows[i]);
+    first.save_checkpoint(image);
+  }
+  StreamingDetector resumed(cfg, sink);
+  resumed.restore_checkpoint(image);
+  for (std::size_t i = kill_at; i < flows.size(); ++i) resumed.ingest(flows[i]);
+  resumed.flush();
+
+  expect_verdicts_equal(verdicts, expected);
+  EXPECT_EQ(resumed.hm_cache().signatures_built, uninterrupted_cache.signatures_built);
+  EXPECT_EQ(resumed.hm_cache().signatures_reused, uninterrupted_cache.signatures_reused);
   EXPECT_EQ(resumed.hm_cache().distances_reused, uninterrupted_cache.distances_reused);
 }
 

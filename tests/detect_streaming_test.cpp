@@ -189,6 +189,106 @@ TEST(StreamingDetector, ShuffledTraceMatchesBatchFeatures) {
   }
 }
 
+/// Exact per-host equality, interstitial vectors compared element by
+/// element in order: their order is part of the feature contract.
+void expect_features_identical(const FeatureMap& got, const FeatureMap& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [host, w] : want) {
+    const auto it = got.find(host);
+    ASSERT_NE(it, got.end()) << host.to_string();
+    const HostFeatures& g = it->second;
+    EXPECT_EQ(g.host, w.host);
+    EXPECT_EQ(g.flows_initiated, w.flows_initiated);
+    EXPECT_EQ(g.flows_failed, w.flows_failed);
+    EXPECT_EQ(g.flows_received, w.flows_received);
+    EXPECT_EQ(g.bytes_sent_initiated, w.bytes_sent_initiated);
+    EXPECT_EQ(g.bytes_sent_received, w.bytes_sent_received);
+    EXPECT_EQ(g.distinct_dsts, w.distinct_dsts);
+    EXPECT_EQ(g.dsts_after_first_hour, w.dsts_after_first_hour);
+    EXPECT_EQ(g.first_activity, w.first_activity);
+    EXPECT_EQ(g.interstitials, w.interstitials) << "interstitials diverge for "
+                                                << host.to_string();
+  }
+}
+
+TEST(StreamingDetector, InterstitialOrderIsIdenticalAcrossExecutionModes) {
+  // One window of Storm traffic through every way of computing features:
+  // the batch extractor (records and batches), the streaming detector in
+  // order and shuffled within the window, at 1 and 4 shards, and resumed
+  // from a mid-window checkpoint. Every feature must be identical,
+  // interstitial vectors included.
+  botnet::HoneynetConfig honeynet;
+  honeynet.seed = 7;
+  honeynet.duration = 1800.0;
+  honeynet.nugache_bots = 0;
+  const netflow::TraceSet trace = botnet::generate_storm_trace(honeynet);
+
+  FeatureExtractorConfig fx;
+  fx.is_internal = is_internal;
+  const FeatureMap reference = extract_features(trace, fx);
+  // The order is observable: some host pools gaps that are not ascending.
+  EXPECT_TRUE(std::any_of(reference.begin(), reference.end(), [](const auto& entry) {
+    return !std::is_sorted(entry.second.interstitials.begin(), entry.second.interstitials.end());
+  }));
+  {
+    SCOPED_TRACE("batch extractor over column batches");
+    std::vector<netflow::FlowBatch> batches;
+    for (const netflow::FlowRecord& r : trace.flows()) {
+      if (batches.empty() || batches.back().size() == 512) batches.emplace_back(512);
+      batches.back().push_back(r);
+    }
+    expect_features_identical(extract_features(batches, fx), reference);
+  }
+
+  std::vector<netflow::FlowRecord> shuffled(trace.flows().begin(), trace.flows().end());
+  util::Pcg32 rng(41);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(i) - 1));
+    std::swap(shuffled[i - 1], shuffled[j]);
+  }
+
+  for (const std::size_t shards : {1u, 4u}) {
+    StreamingConfig cfg = config(3600.0);
+    cfg.shards = shards;
+    // Streams `flows`; a `kill_at` short of the end checkpoints there and
+    // finishes in a restored detector.
+    const auto streamed = [&](const std::vector<netflow::FlowRecord>& flows,
+                              std::size_t kill_at) {
+      std::vector<WindowVerdict> verdicts;
+      const auto sink = [&](const WindowVerdict& v) { verdicts.push_back(v); };
+      StreamingDetector first(cfg, sink);
+      for (std::size_t i = 0; i < kill_at; ++i) first.ingest(flows[i]);
+      if (kill_at == flows.size()) {
+        first.flush();
+      } else {
+        std::stringstream image;
+        first.save_checkpoint(image);
+        StreamingDetector resumed(cfg, sink);
+        resumed.restore_checkpoint(image);
+        for (std::size_t i = kill_at; i < flows.size(); ++i) resumed.ingest(flows[i]);
+        resumed.flush();
+      }
+      EXPECT_EQ(verdicts.size(), 1u);
+      return verdicts.empty() ? FeatureMap{} : verdicts[0].features;
+    };
+    const std::vector<netflow::FlowRecord> in_order(trace.flows().begin(), trace.flows().end());
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    {
+      SCOPED_TRACE("in order");
+      expect_features_identical(streamed(in_order, in_order.size()), reference);
+    }
+    {
+      SCOPED_TRACE("shuffled within the window");
+      expect_features_identical(streamed(shuffled, shuffled.size()), reference);
+    }
+    {
+      SCOPED_TRACE("restored from a mid-window checkpoint");
+      expect_features_identical(streamed(in_order, in_order.size() / 2), reference);
+      expect_features_identical(streamed(shuffled, shuffled.size() / 3), reference);
+    }
+  }
+}
+
 TEST(StreamingDetector, ParityWithBatchOnOverlaidDay) {
   // The streaming path must reach the same verdict as the batch pipeline
   // on a full overlaid day whose flows arrive in time order.

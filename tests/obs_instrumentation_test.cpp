@@ -205,6 +205,31 @@ TEST(ObsInstrumentation, StreamingScrapeCoversRequiredFamilies) {
             nullptr);
 }
 
+TEST(ObsInstrumentation, FinalizeAndReleaseAreTimedOncePerWindow) {
+  // The window-state stages fire once per closed window at every shard
+  // count — never per row — beside window_close.
+  const netflow::TraceSet trace = storm_trace();
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Registry::global().reset();
+    const EnabledGuard guard(true);
+    detect::StreamingConfig cfg = streaming_config(600.0);
+    cfg.shards = shards;
+    std::size_t windows = 0;
+    detect::StreamingDetector detector(cfg, [&](const detect::WindowVerdict&) { ++windows; });
+    for (const netflow::FlowRecord& rec : trace.flows()) detector.ingest(rec);
+    detector.flush();
+
+    const MetricsSnapshot snap = Registry::global().snapshot();
+    ASSERT_GT(windows, 1u);
+    for (const char* stage : {"window_close", "finalize", "release"}) {
+      EXPECT_EQ(histogram_count(snap, "tradeplot_stage_duration_seconds", {{"stage", stage}}),
+                windows)
+          << stage;
+    }
+  }
+}
+
 TEST(ObsInstrumentation, ShardedScrapeHasTheSameStagesAndWindowFamily) {
   // One stage/metric set at every shard count: at shards=4 the scalar and
   // θ_hm stage timers fire (the pipeline runs once over the whole window),

@@ -199,6 +199,34 @@ TEST(HashRingTest, BalancedWithinTolerance) {
   }
 }
 
+TEST(HashRingTest, BucketIndexAgreesWithBinarySearchOverTheRing) {
+  // The ring's definition, spelled out: sorted (point, shard) pairs, and a
+  // host lands on the first point clockwise of its hash (upper bound,
+  // wrapping). The bucket-indexed lookup must give the same shard for every
+  // host — the mapping is a constant of the checkpoint format.
+  util::Pcg32 rng(17);
+  for (const std::size_t shards : {2u, 3u, 4u, 8u, 16u}) {
+    for (const std::size_t vnodes : {1u, 7u, 64u}) {
+      std::vector<std::pair<std::uint64_t, std::uint32_t>> points;
+      for (std::size_t s = 0; s < shards; ++s)
+        for (std::size_t r = 0; r < vnodes; ++r)
+          points.emplace_back(shard::splitmix64(shard::splitmix64(std::uint64_t{s} << 32 | r)),
+                              static_cast<std::uint32_t>(s));
+      std::sort(points.begin(), points.end());
+      const HashRing ring(shards, vnodes);
+      for (int i = 0; i < 20000; ++i) {
+        const simnet::Ipv4 host(rng());
+        const std::uint64_t h = shard::splitmix64(host.value());
+        auto it = std::upper_bound(points.begin(), points.end(),
+                                   std::make_pair(h, ~std::uint32_t{0}));
+        if (it == points.end()) it = points.begin();
+        ASSERT_EQ(ring.shard_of(host), it->second)
+            << "shards=" << shards << " vnodes=" << vnodes << " host=" << host.to_string();
+      }
+    }
+  }
+}
+
 TEST(HashRingTest, RejectsDegenerateGeometry) {
   EXPECT_THROW(HashRing(0), util::ConfigError);
   EXPECT_THROW(HashRing(4, 0), util::ConfigError);

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -628,6 +629,54 @@ TEST(Daemon, OldFormatCheckpointIsQuarantinedAndServiceStartsFresh) {
     EXPECT_TRUE(std::ifstream(cfg.state_dir + "/campus.ckpt.corrupt").is_open());
     daemon.stop();
   }
+}
+
+TEST(Daemon, V3CheckpointIsQuarantinedAndServiceStartsFresh) {
+  // A TPCK v3 image (per-host, per-destination records) predates the flat
+  // v4 array dump: restore rejects it with the pinned version error, and
+  // the tenant moves it aside and serves a fresh universe.
+  std::string v3;
+  {
+    detect::StreamingConfig cfg;
+    cfg.window = 60.0;
+    cfg.is_internal = detect::default_internal_predicate;
+    detect::StreamingDetector det(cfg, [](const detect::WindowVerdict&) {});
+    const netflow::TraceSet trace = make_trace(300, 30.0);
+    for (const netflow::FlowRecord& r : trace.flows()) det.ingest(r);
+    std::ostringstream out;
+    det.save_checkpoint(out);
+    v3 = out.str();
+  }
+  v3[4] = 3;  // the version field follows the 4-byte magic
+
+  const std::string dir = make_temp_dir();
+  const DaemonConfig cfg = base_config(dir, "campus");
+  ASSERT_EQ(::mkdir(cfg.state_dir.c_str(), 0755), 0);
+  {
+    std::ofstream out(cfg.state_dir + "/campus.ckpt", std::ios::binary);
+    out << v3;
+  }
+  Daemon daemon(cfg);
+  daemon.start();
+  Tenant* tenant = daemon.find_tenant("campus");
+  ASSERT_NE(tenant, nullptr);
+  EXPECT_TRUE(tenant->ready());
+  EXPECT_EQ(tenant->stats().restore_failures, 1u);
+  EXPECT_EQ(tenant->stats().ingested, 0u);  // fresh start
+  std::ifstream quarantined(cfg.state_dir + "/campus.ckpt.corrupt", std::ios::binary);
+  ASSERT_TRUE(quarantined.is_open());
+  const std::string moved((std::istreambuf_iterator<char>(quarantined)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(moved, v3);
+
+  // The fresh universe still produces oracle-exact verdicts.
+  const netflow::TraceSet trace = make_trace(1500, 180.0);
+  const std::string trace_path = write_trace_file(dir, trace);
+  const SendReport r = stream_to(cfg.ingest, "campus", trace_path);
+  EXPECT_EQ(r.ingested, 1500u);
+  daemon.stop();
+  const std::vector<std::string> expected = batch_oracle(trace_path, cfg.tenants[0]);
+  EXPECT_EQ(read_deduped_log(cfg.state_dir + "/campus.verdicts.jsonl"), expected);
 }
 
 TEST(Daemon, HttpSidecarServesHealthReadinessAndTenants) {

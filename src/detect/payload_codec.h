@@ -3,17 +3,19 @@
 //
 // The encoded payload is framed, versioned, and CRC-checked by the
 // checkpoint writer; these helpers only serialize trivially-copyable scalars
-// and arrays into/out of a contiguous buffer, throwing
-// util::ParseError on any read past the end so a truncated payload can never
-// be half-applied.
+// and arrays into a buffer or a stream and out of a contiguous buffer,
+// throwing util::ParseError on any read past the end so a truncated payload
+// can never be half-applied.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "util/checksum.h"
 #include "util/error.h"
 
 namespace tradeplot::detect {
@@ -21,18 +23,30 @@ namespace tradeplot::detect {
 class PayloadWriter {
  public:
   /// kCount only adds up the bytes it is given: size() is then the exact
-  /// payload length, for a kWrite writer to reserve() up front.
+  /// payload length, for a checkpoint header to announce before the payload.
+  /// kWrite keeps the whole payload in bytes() (the benchmark's replay
+  /// detector and the codec tests read it there). A writer bound to a stream
+  /// (the second constructor) sends it on through a staging buffer instead.
   enum class Mode { kWrite, kCount };
 
   explicit PayloadWriter(Mode mode = Mode::kWrite) : mode_(mode) {}
 
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+  /// Streams the payload to `out` through a kStagingBytes buffer; an array
+  /// at least that large goes to `out` straight from its vector. The CRC-32
+  /// runs over each piece as it leaves, so the payload is never held whole.
+  /// Throws util::IoError as soon as `out` fails.
+  explicit PayloadWriter(std::ostream& out) : mode_(Mode::kWrite), out_(&out) {
+    buf_.reserve(kStagingBytes);
+  }
+
+  static constexpr std::size_t kStagingBytes = std::size_t{64} << 10;
 
   template <typename T>
   void put(T value) {
     static_assert(std::is_trivially_copyable_v<T>);
     size_ += sizeof(value);
     if (mode_ == Mode::kCount) return;
+    if (out_ != nullptr && buf_.size() + sizeof(value) > kStagingBytes) spill();
     const char* bytes = reinterpret_cast<const char*>(&value);
     buf_.append(bytes, sizeof(value));
   }
@@ -41,17 +55,47 @@ class PayloadWriter {
   template <typename T>
   void put_array(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    size_ += v.size() * sizeof(T);
+    const std::size_t n = v.size() * sizeof(T);
+    size_ += n;
     if (mode_ == Mode::kCount || v.empty()) return;
-    buf_.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+    const char* bytes = reinterpret_cast<const char*>(v.data());
+    if (out_ != nullptr && buf_.size() + n > kStagingBytes) {
+      spill();
+      if (n >= kStagingBytes) {
+        emit(bytes, n);
+        return;
+      }
+    }
+    buf_.append(bytes, n);
+  }
+
+  /// Stream mode: writes what is still staged and returns the CRC-32 of the
+  /// whole payload (util::crc32 of its size() bytes).
+  std::uint32_t finish() {
+    spill();
+    return crc_;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
+  /// kWrite mode without a stream: the payload so far.
   [[nodiscard]] const std::string& bytes() const { return buf_; }
 
  private:
+  void spill() {
+    emit(buf_.data(), buf_.size());
+    buf_.clear();
+  }
+
+  void emit(const char* data, std::size_t n) {
+    crc_ = util::crc32(data, n, crc_);
+    if (!out_->write(data, static_cast<std::streamsize>(n)))
+      throw util::IoError("checkpoint write failed");
+  }
+
   Mode mode_;
+  std::ostream* out_ = nullptr;
   std::size_t size_ = 0;
+  std::uint32_t crc_ = 0;
   std::string buf_;
 };
 

@@ -300,28 +300,23 @@ void StreamingDetector::encode_payload(PayloadWriter& w) const {
 
 void StreamingDetector::save_checkpoint(std::ostream& out) const {
   const obs::StageTimer save_timer(obs::Stage::kCheckpointSave);
-  // Size the payload before writing it: growing a buffer of many megabytes
-  // by doubling holds two copies at once, and the allocator keeps the freed
-  // blocks (e2ebench daemon_unix_paced, seed 1: peak RSS 101-117 MB
-  // without the sizing pass, 72 MB with it).
+  // The counting pass sizes only the header. The payload then streams to
+  // `out` through the writer's staging buffer with its CRC running
+  // alongside: no copy of the multi-megabyte payload is built and nothing is
+  // reserved, so a save adds no large block for the allocator to keep.
   PayloadWriter sizer(PayloadWriter::Mode::kCount);
   encode_payload(sizer);
-  PayloadWriter w;
-  w.reserve(sizer.size());
-  encode_payload(w);
-
-  const std::string& payload = w.bytes();
-  if (obs::enabled())
-    StreamObs::get().checkpoint_bytes.observe(static_cast<double>(payload.size()));
-  const std::uint32_t crc = util::crc32(payload.data(), payload.size());
+  const auto size = static_cast<std::uint64_t>(sizer.size());
+  if (obs::enabled()) StreamObs::get().checkpoint_bytes.observe(static_cast<double>(size));
   const auto put_raw = [&](const void* p, std::size_t n) {
     out.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
   };
   put_raw(&kCkptMagic, sizeof(kCkptMagic));
   put_raw(&kCkptVersion, sizeof(kCkptVersion));
-  const auto size = static_cast<std::uint64_t>(payload.size());
   put_raw(&size, sizeof(size));
-  put_raw(payload.data(), payload.size());
+  PayloadWriter w(out);
+  encode_payload(w);
+  const std::uint32_t crc = w.finish();
   put_raw(&crc, sizeof(crc));
   out.flush();
   if (!out) throw util::IoError("checkpoint write failed");

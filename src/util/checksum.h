@@ -5,6 +5,10 @@
 // detect/streaming.h) appends it to every serialized payload so that a
 // truncated or bit-flipped checkpoint is rejected on restore instead of
 // silently resurrecting corrupt detector state.
+//
+// Inputs of 64 bytes and more run a PCLMULQDQ fold on x86 CPUs that have it
+// (chosen once per process from CPUID); the result is the same bit for bit
+// as the bytewise table loop that serves everything else.
 #pragma once
 
 #include <cstddef>

@@ -11,9 +11,11 @@
 #include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <streambuf>
 #include <vector>
 
 #include "botnet/honeynet.h"
+#include "detect/payload_codec.h"
 #include "netflow/io.h"
 #include "netflow/trace_reader.h"
 #include "util/checksum.h"
@@ -607,6 +609,94 @@ TEST(CheckpointV4, CountsBeyondTheRemainingBytesAreParseErrors) {
     poke(huge, count_at, std::uint64_t{1} << 40);
     expect_restore_error(reframe(image, huge), "checkpoint: truncated payload");
   }
+}
+
+// ---------------------------------------------------------------------------
+// The streamed save: the payload leaves through PayloadWriter's staging
+// buffer with a running CRC, and large arrays bypass the buffer. The image
+// must be exactly the one a one-shot CRC over the whole payload frames.
+
+/// Rejects every byte past the first `limit`, as a full disk would.
+class FailingBuf : public std::streambuf {
+ public:
+  explicit FailingBuf(std::size_t limit) : limit_(limit) {}
+  std::size_t written = 0;
+
+ protected:
+  std::streamsize xsputn(const char* /*s*/, std::streamsize n) override {
+    const auto take = std::min(static_cast<std::size_t>(n), limit_ - written);
+    written += take;
+    return static_cast<std::streamsize>(take);
+  }
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof()) || written == limit_)
+      return traits_type::eof();
+    ++written;
+    return ch;
+  }
+
+ private:
+  std::size_t limit_;
+};
+
+TEST(CheckpointStream, ImageIsExactAcrossStagingBoundaries) {
+  // Enough bots, all let through to θ_hm, that its cache holds thousands of
+  // distance pairs.
+  botnet::HoneynetConfig h;
+  h.seed = 5;
+  h.duration = 2 * 3600.0;
+  h.storm_bots = 100;
+  h.nugache_bots = 0;
+  const netflow::TraceSet trace = botnet::generate_storm_trace(h);
+  StreamingConfig cfg = config(1800.0);
+  cfg.pipeline.reduction = {.percentile = 0.0, .comparison = ReductionComparison::kInclusive};
+  cfg.pipeline.volume.percentile = 1.0;
+  cfg.pipeline.churn.percentile = 1.0;
+  const std::vector<WindowVerdict> expected = uninterrupted_run(trace, cfg);
+  const std::size_t kill_at = trace.flows().size() * 5 / 6;
+
+  std::vector<WindowVerdict> verdicts;
+  const auto sink = [&](const WindowVerdict& v) { verdicts.push_back(v); };
+  std::string bytes;
+  {
+    StreamingDetector first(cfg, sink);
+    for (std::size_t i = 0; i < kill_at; ++i) first.ingest(trace.flows()[i]);
+    std::stringstream image;
+    first.save_checkpoint(image);
+    bytes = image.str();
+
+    // Both large sections span several staging buffers: the event log goes
+    // out straight from its vector, the θ_hm cache as many small puts.
+    PayloadWriter cache(PayloadWriter::Mode::kCount);
+    first.hm_cache().encode(cache);
+    EXPECT_GE(cache.size(), 3 * PayloadWriter::kStagingBytes);
+    const std::string payload = payload_of(bytes);
+    // Per host: u32 address, five u64 counters, f64 first activity, u8 shed.
+    const auto hosts = peek<std::uint64_t>(payload, kHostCount);
+    const auto events = peek<std::uint64_t>(payload, kHosts + hosts * (4 + 5 * 8 + 8 + 1));
+    EXPECT_GE(events * 16, 3 * PayloadWriter::kStagingBytes);
+  }
+
+  // The header announces the payload length, and the running CRC is the
+  // one-shot CRC of the payload.
+  EXPECT_EQ(peek<std::uint64_t>(bytes, 8), bytes.size() - kHeader - 4);
+  EXPECT_EQ(reframe(bytes, payload_of(bytes)), bytes);
+
+  std::stringstream in(bytes);
+  StreamingDetector resumed(cfg, sink);
+  resumed.restore_checkpoint(in);
+  for (std::size_t i = kill_at; i < trace.flows().size(); ++i) resumed.ingest(trace.flows()[i]);
+  resumed.flush();
+  expect_verdicts_equal(verdicts, expected);
+
+  // A stream that fails partway through the payload is an IoError.
+  FailingBuf buf(kHeader + (bytes.size() - kHeader) / 2);
+  std::ostream failing(&buf);
+  std::stringstream again(bytes);
+  StreamingDetector restored(cfg, [](const WindowVerdict&) {});
+  restored.restore_checkpoint(again);
+  EXPECT_THROW(restored.save_checkpoint(failing), util::IoError);
+  EXPECT_LT(buf.written, bytes.size());
 }
 
 }  // namespace

@@ -84,19 +84,29 @@ TEST(FrameParser, ResyncsPastLeadingGarbageWithAccounting) {
 }
 
 TEST(FrameParser, CrcMismatchSkipsFrameAndRecovers) {
-  std::vector<char> bad = encode_frame(FrameType::kFlows, "payload-bytes");
-  bad[kFrameHeaderSize + 3] ^= 0x40;  // corrupt the payload after the CRC was stamped
-  const std::vector<char> good = encode_frame(FrameType::kHello, "t");
-  bad.insert(bad.end(), good.begin(), good.end());
+  // A short payload takes the CRC's bytewise loop; a ~600 KB one the folded
+  // kernel, with the flipped bit in the middle of it. Lowercase letters only,
+  // so the resync scan finds no stray "TPMF" inside the bad payload.
+  std::string large(600 * 1000, '\0');
+  for (std::size_t i = 0; i < large.size(); ++i) large[i] = static_cast<char>('a' + i * 7 % 26);
+  for (const std::string& payload : {std::string("payload-bytes"), large}) {
+    SCOPED_TRACE("payload of " + std::to_string(payload.size()) + " bytes");
+    std::vector<char> bad = encode_frame(FrameType::kFlows, payload);
+    // Corrupt the payload after the CRC was stamped.
+    bad[kFrameHeaderSize + (payload.size() > 64 ? payload.size() / 2 : 3)] ^= 0x40;
+    const std::vector<char> good = encode_frame(FrameType::kHello, "t");
+    bad.insert(bad.end(), good.begin(), good.end());
 
-  FrameParser parser;
-  parser.append(bad.data(), bad.size());
-  Frame out;
-  ASSERT_TRUE(parser.next(out));
-  EXPECT_EQ(out.type, FrameType::kHello);  // the corrupt frame was dropped
-  EXPECT_GE(parser.stats().frames_bad, 1u);
-  EXPECT_GE(parser.stats().bytes_skipped, 1u);
-  EXPECT_FALSE(parser.next(out));
+    FrameParser parser;
+    parser.append(bad.data(), bad.size());
+    Frame out;
+    ASSERT_TRUE(parser.next(out));
+    EXPECT_EQ(out.type, FrameType::kHello);  // the corrupt frame was dropped
+    EXPECT_EQ(out.payload_view(), "t");
+    EXPECT_GE(parser.stats().frames_bad, 1u);
+    EXPECT_GE(parser.stats().bytes_skipped, 1u);
+    EXPECT_FALSE(parser.next(out));
+  }
 }
 
 TEST(FrameParser, ImplausibleHeaderIsNotTrusted) {
